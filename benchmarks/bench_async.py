@@ -1,7 +1,6 @@
-"""Benchmark: the asyncio frontend's two wins over the threaded server.
+"""Benchmark: server-side walks, and the asyncio adapter over the threaded one.
 
-The async service tier (:mod:`repro.server.aio`) justifies itself on two
-numbers, both asserted here so the claims stay CI-checkable:
+Two numbers, both asserted here so the claims stay CI-checkable:
 
 1. **Server-side walks collapse round trips.**  A client-driven walk pays
    one ``GET /node/<id>`` per fresh node (O(budget) round trips); one
@@ -29,12 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import (
-    AsyncHTTPGraphBackend,
-    CSRBackend,
-    HTTPGraphBackend,
-    build_api,
-)
+from repro.api import CSRBackend, HTTPGraphBackend, build_api
 from repro.server import serve_backend, serve_backend_async
 from repro.walks import make_walker
 
@@ -93,7 +87,7 @@ def async_server(graph_backend):
 # ----------------------------------------------------------------------
 def _client_driven_walk(url):
     """Drive the kernel from the client: one GET /node per fresh node."""
-    with AsyncHTTPGraphBackend(url, timeout=30.0) as client:
+    with HTTPGraphBackend(url, timeout=30.0) as client:
         api = build_api(client, budget=WALK_BUDGET)
         walker = make_walker(WALK_KERNEL, api=api, seed=WALK_SEED)
         return walker.run(0).path
@@ -101,7 +95,7 @@ def _client_driven_walk(url):
 
 def _server_side_walk(url):
     """One POST /walk: the kernel runs next to the data."""
-    with AsyncHTTPGraphBackend(url, timeout=30.0) as client:
+    with HTTPGraphBackend(url, timeout=30.0) as client:
         return client.remote_walk(
             WALK_KERNEL, 0, seed=WALK_SEED, budget=WALK_BUDGET
         )["path"]
@@ -119,12 +113,12 @@ def test_server_side_walk_collapses_round_trips_5x(async_server):
     server_path = _server_side_walk(async_server.url)
     assert server_path == client_path
 
-    async_server.reset_stats()
+    async_server.service.reset_stats()
     client_seconds, _ = _best_of(_client_driven_walk, async_server.url)
-    client_requests = sum(async_server.endpoint_counts.values()) // TIMING_REPEATS
-    async_server.reset_stats()
+    client_requests = sum(async_server.service.endpoint_counts.values()) // TIMING_REPEATS
+    async_server.service.reset_stats()
     server_seconds, _ = _best_of(_server_side_walk, async_server.url)
-    server_requests = sum(async_server.endpoint_counts.values()) // TIMING_REPEATS
+    server_requests = sum(async_server.service.endpoint_counts.values()) // TIMING_REPEATS
     collapse = client_requests / server_requests
     print(
         f"\n{WALK_KERNEL} walk, budget {WALK_BUDGET}, over {NUM_NODES} nodes: "

@@ -108,12 +108,12 @@ def test_batched_posts_beat_per_node_gets_2x(server):
     assert batched_paths == sequential_paths
     assert batched_unique == sequential_unique
 
-    server.reset_stats()
+    server.service.reset_stats()
     batched_seconds, _ = _best_of(_batched_ensemble, server.url)
-    batched_requests = sum(server.endpoint_counts.values())
-    server.reset_stats()
+    batched_requests = sum(server.service.endpoint_counts.values())
+    server.service.reset_stats()
     sequential_seconds, _ = _best_of(_sequential_walks, server.url)
-    sequential_requests = sum(server.endpoint_counts.values())
+    sequential_requests = sum(server.service.endpoint_counts.values())
     speedup = sequential_seconds / batched_seconds
     print(
         f"\n{NUM_WALKERS}-walker x {WALK_STEPS}-step CNRW ensemble over "

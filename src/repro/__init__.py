@@ -56,13 +56,11 @@ remains available as a thin shim over the same stack::
 """
 
 from .api import (
-    AsyncHTTPGraphBackend,
     CSRBackend,
     GraphAPI,
     GraphBackend,
     HTTPGraphBackend,
     InMemoryBackend,
-    InstrumentedAPI,
     NodeView,
     QueryBudget,
     SamplingSession,
@@ -141,7 +139,7 @@ from .engine import (
     WalkScheduler,
     make_vector_kernel,
 )
-from .server import AsyncGraphServer, GraphHTTPServer, serve_backend, serve_backend_async
+from .server import AsyncGraphServer, GraphHTTPServer, GraphService, serve_backend, serve_backend_async
 from .storage import (
     MmapCSRBackend,
     ReplayBackend,
@@ -189,13 +187,12 @@ __all__ = [
     "GraphBackend",
     "GraphError",
     "GraphHTTPServer",
+    "GraphService",
     "GroupByNeighborsRandomWalk",
     "AsyncGraphServer",
-    "AsyncHTTPGraphBackend",
     "HTTPGraphBackend",
     "HashRing",
     "InMemoryBackend",
-    "InstrumentedAPI",
     "MHRW",
     "MetricsRegistry",
     "MetropolisHastingsRandomWalk",

@@ -25,7 +25,6 @@ from .directed import (
     mutual_undirected_edges,
     store_from_edges,
 )
-from .instrumented import InstrumentedAPI
 from .interface import GraphAPI, NodeView, SocialNetworkAPI
 from .middleware import (
     APILayer,
@@ -43,7 +42,6 @@ from .middleware import (
     iter_layers,
 )
 from .remote import HTTPGraphBackend, WIRE_FORMAT, WIRE_VERSION, walk_fingerprint
-from .remote_async import AsyncHTTPGraphBackend
 from .ratelimit import (
     FixedWindowPolicy,
     RateLimitPolicy,
@@ -58,7 +56,6 @@ from .session import SamplingSession, Session
 
 __all__ = [
     "APILayer",
-    "AsyncHTTPGraphBackend",
     "BackendAPI",
     "BudgetLayer",
     "CSRBackend",
@@ -71,7 +68,6 @@ __all__ = [
     "GraphBackend",
     "HTTPGraphBackend",
     "InMemoryBackend",
-    "InstrumentedAPI",
     "LRUCache",
     "NodeView",
     "QueryBudget",

@@ -356,9 +356,9 @@ class HTTPGraphBackend(GraphBackend):
             schedule without waiting it out).
         name: Backend name; defaults to ``http:<netloc>``.
         api_key: Optional tenant API key, sent as ``X-Api-Key`` with every
-            request.  The multi-tenant asyncio service maps it to the
-            tenant's server-side budget / rate-limit policy; servers without
-            tenants ignore the header.  Server-side policy rejections come
+            request.  A service with tenants maps it to the tenant's
+            server-side budget / rate-limit policy; servers without tenants
+            ignore the header.  Server-side policy rejections come
             back typed: a 429 ``rate_limited`` raises
             :class:`~repro.exceptions.RateLimitExceededError` and a 429
             ``budget_exhausted`` raises
@@ -406,8 +406,6 @@ class HTTPGraphBackend(GraphBackend):
         if api_key is not None and not api_key.isprintable():
             raise ValueError("api_key must be a printable string")
         self._extra_headers = f"X-Api-Key: {api_key}\r\n" if api_key else ""
-        #: ``X-Repro-Span`` echo of the most recent response (trace fold-in).
-        self._last_span_echo: Optional[str] = None
         self._connection: Optional[_LeanHTTPConnection] = None
         self._info: Optional[Dict[str, Any]] = None
         self._node_ids: Optional[List[NodeId]] = None
@@ -417,11 +415,14 @@ class HTTPGraphBackend(GraphBackend):
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _connect(self) -> _LeanHTTPConnection:
-        return _LeanHTTPConnection(
-            self._scheme, self._host, self._port, self._timeout, self._netloc,
-            extra_headers=self._extra_headers,
-        )
+    def _live_connection(self) -> _LeanHTTPConnection:
+        """The persistent connection, opened on first use."""
+        if self._connection is None:
+            self._connection = _LeanHTTPConnection(
+                self._scheme, self._host, self._port, self._timeout, self._netloc,
+                extra_headers=self._extra_headers,
+            )
+        return self._connection
 
     def _drop_connection(self) -> None:
         connection = self._connection
@@ -439,18 +440,14 @@ class HTTPGraphBackend(GraphBackend):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _send(self, method: str, path: str, body: Optional[bytes],
-              headers: str = ""):
-        connection = self._connection
-        if connection is None:
-            connection = self._connect()
-            self._connection = connection
+    def _send(self, method: str, path: str, body: Optional[bytes], headers: str):
+        """One exchange: ``(status, body, X-Repro-Span echo)``."""
+        connection = self._live_connection()
         connection.send_request(method, path, body, headers)
         status, data = connection.read_response()
-        self._last_span_echo = connection.span_echo
         if not connection.reusable:
             self._drop_connection()
-        return status, data
+        return status, data, connection.span_echo
 
     @staticmethod
     def _error_payload(data: bytes) -> Dict[str, Any]:
@@ -491,8 +488,8 @@ class HTTPGraphBackend(GraphBackend):
                 status=status,
             )
         if status == 429:
-            # Server-side per-tenant policy rejections (the multi-tenant
-            # asyncio service) surface as the exact typed errors the local
+            # Server-side per-tenant policy rejections (a service with
+            # tenants) surface as the exact typed errors the local
             # middleware layers raise, so remote enforcement is
             # indistinguishable from a client-side budget or rate limit.
             payload = self._error_payload(data)
@@ -585,7 +582,7 @@ class HTTPGraphBackend(GraphBackend):
                     span.trace_id, wire_span_id
                 ) + "\r\n"
             try:
-                status, data = self._send(method, path, body, headers)
+                status, data, span_echo = self._send(method, path, body, headers)
             except (_WireError, OSError) as error:
                 # Timeout, refused connection, reset mid-response, stale
                 # keep-alive socket, malformed framing: drop the connection
@@ -600,7 +597,7 @@ class HTTPGraphBackend(GraphBackend):
             if span is not None:
                 if attempt_span is not None:
                     tracer.finish(attempt_span)
-                tracer.record_echo_raw(self._last_span_echo)
+                tracer.record_echo_raw(span_echo)
             try:
                 result = self._interpret(method, path, status, data)
             except _TransientResponse as error:
@@ -692,12 +689,10 @@ class HTTPGraphBackend(GraphBackend):
                 headers = f"{TRACE_HEADER}: " + format_trace_header(
                     span.trace_id, span.span_id
                 ) + "\r\n"
-            connection = self._connection
-            if connection is None:
-                connection = self._connect()
-                self._connection = connection
             try:
-                connection.send_request("POST", f"{self._prefix}/nodes", body, headers)
+                self._live_connection().send_request(
+                    "POST", f"{self._prefix}/nodes", body, headers
+                )
                 sent = True
             except (_WireError, OSError):
                 # Stale keep-alive socket, refused connection: drop it and
@@ -744,7 +739,7 @@ class HTTPGraphBackend(GraphBackend):
         return self.fetch_many(order)
 
     # ------------------------------------------------------------------
-    # Server-side walks (the multi-tenant asyncio service's POST /walk)
+    # Server-side walks (the service's POST /walk)
     # ------------------------------------------------------------------
     def remote_walk(
         self,
@@ -764,8 +759,8 @@ class HTTPGraphBackend(GraphBackend):
         a CRC-32 :func:`walk_fingerprint`, which is recomputed locally over
         the delivered path — a mismatch means the wire corrupted the walk
         and raises :class:`~repro.exceptions.RemoteBackendError`.  Servers
-        without the endpoint (the threaded frontend) answer 404, which
-        surfaces as the usual "not an endpoint" error.
+        without the endpoint answer 404, which surfaces as the usual "not an
+        endpoint" error.
         """
         _require_scalar_id(start)
         request: Dict[str, Any] = {"kernel": kernel, "start": start, "seed": seed}

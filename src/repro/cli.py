@@ -41,12 +41,12 @@ dump — as a JSON-over-HTTP graph service (see :mod:`repro.server`)::
 
 A ``walk --source URL`` drives the remote service through
 :class:`~repro.api.remote.HTTPGraphBackend` and is bit-identical to the same
-walk over the served files locally.  ``serve --async`` swaps in the asyncio
-frontend (one event loop instead of one thread per connection) and adds
-``POST /walk`` (whole walks run server-side in one round trip) plus
-``GET /stats``; ``--tenants tenants.json`` maps API keys to per-tenant
-query budgets and rate limits, and ``--access-log FILE`` appends one JSON
-line per request::
+walk over the served files locally.  The service also answers ``POST /walk``
+(whole walks run server-side in one round trip) and ``GET /stats``;
+``--tenants tenants.json`` maps API keys to per-tenant query budgets and
+rate limits, ``--access-log FILE`` appends one JSON line per request, and
+``--async`` serves the same service from one event loop instead of one
+thread per connection::
 
     python -m repro.cli serve --source snapshots/fb --port 8642 --async --tenants tenants.json
 
@@ -328,8 +328,9 @@ def _graceful_signals():
 
     CI and process supervisors stop a server with SIGTERM; without a handler
     the process dies with exit code 143 and never drains its keep-alive
-    sockets.  Raising ``SystemExit`` unwinds ``serve_forever`` through the
-    caller's ``finally`` (which closes the server: shutdown, drain, join),
+    sockets.  Raising ``SystemExit`` interrupts the main thread's sleep loop
+    (the server runs on its own thread) and unwinds through the caller's
+    ``finally`` (which closes the server: shutdown, drain, join),
     so termination is indistinguishable from a clean exit.  Previous
     handlers are restored on the way out.
     """
@@ -351,16 +352,12 @@ def _graceful_signals():
 
 def _run_serve(args: argparse.Namespace) -> None:
     """Serve a graph source over JSON/HTTP until interrupted."""
+    import time
+
     from .api import as_backend
     from .graphs import load_dataset
-    from .server import serve_backend, serve_backend_async
+    from .server import GraphService, serve_backend, serve_backend_async
 
-    if not args.async_server:
-        if args.tenants is not None:
-            raise ValueError("--tenants requires --async (the threaded "
-                             "frontend has no tenant policy layer)")
-        if args.access_log is not None:
-            raise ValueError("--access-log requires --async")
     if args.source is not None:
         _reject_source_conflicts(args)
         backend = as_backend(args.source)
@@ -368,28 +365,20 @@ def _run_serve(args: argparse.Namespace) -> None:
         graph = load_dataset(args.dataset or "facebook_like", seed=args.seed,
                              scale=args.scale or 1.0)
         backend = as_backend(graph)
-    if args.async_server:
-        import time
-
-        server = serve_backend_async(
-            backend, host=args.host, port=args.port,
-            tenants=args.tenants, access_log=args.access_log,
-        ).start()
-        endpoints = ("endpoints: GET /info  GET /node/<id>  POST /nodes  "
-                     "GET /meta/<id>  GET /node-ids  POST /walk  GET /stats")
-    else:
-        server = serve_backend(backend, host=args.host, port=args.port)
-        endpoints = ("endpoints: GET /info  GET /node/<id>  POST /nodes  "
-                     "GET /meta/<id>  GET /node-ids")
+    service = GraphService(backend, tenants=args.tenants, access_log=args.access_log)
+    serve = serve_backend_async if args.async_server else serve_backend
+    server = serve(service, host=args.host, port=args.port).start()
     # Handlers go in before the readiness banner: a supervisor (or CI) may
     # send SIGTERM the moment the banner appears.
     with _graceful_signals():
         try:
             print(f"Serving {backend.name} ({len(backend)} nodes) at {server.url}",
                   flush=True)
-            print(endpoints, flush=True)
-            if args.async_server and args.tenants is not None:
-                print(f"tenants: {len(server.tenants)} "
+            print(f"{service.frontend} adapter; endpoints: GET /info  "
+                  "GET /node/<id>  POST /nodes  GET /meta/<id>  GET /node-ids  "
+                  "POST /walk  GET /stats  GET /metrics", flush=True)
+            if args.tenants is not None:
+                print(f"tenants: {len(service.tenants)} "
                       f"(requests need an X-Api-Key header)", flush=True)
             # A wildcard bind address is not connectable; suggest a URL that is.
             port = server.server_address[1]
@@ -397,11 +386,8 @@ def _run_serve(args: argparse.Namespace) -> None:
                      if args.host in ("0.0.0.0", "::") else server.url)
             print(f"walk it remotely with: python -m repro.cli walk "
                   f"--source {reach}", flush=True)
-            if args.async_server:
-                while True:
-                    time.sleep(3600)
-            else:
-                server.serve_forever()
+            while True:
+                time.sleep(3600)
         except (KeyboardInterrupt, SystemExit):
             print("\nstopping (draining connections)", flush=True)
         finally:
@@ -888,19 +874,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--async", dest="async_server", action="store_true",
-        help="use the asyncio frontend for 'serve': one event loop instead "
-        "of one thread per connection, plus POST /walk (server-side walks) "
-        "and GET /stats (per-tenant usage)",
+        help="serve through the asyncio adapter ('serve'): one event loop "
+        "instead of one thread per connection; endpoints, tenants and "
+        "stats are the same service either way",
     )
     serve.add_argument(
         "--tenants", type=Path, default=None,
-        help="tenants.json policy file for 'serve --async': maps API keys "
-        "to named tenants with per-tenant query budgets and rate limits "
-        "(requests then need a matching X-Api-Key header)",
+        help="tenants.json policy file for 'serve': maps API keys to named "
+        "tenants with per-tenant query budgets and rate limits (requests "
+        "then need a matching X-Api-Key header)",
     )
     serve.add_argument(
         "--access-log", type=Path, default=None,
-        help="append one JSON line per request here ('serve --async' only)",
+        help="append one JSON line per request here ('serve')",
     )
     cluster = parser.add_argument_group("partition options")
     cluster.add_argument(
@@ -960,8 +946,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("  snapshot (persist a dataset as a mmap CSR snapshot; see --dataset/--out)")
         print("  replay (record a traced crawl to --dump with --record, or replay one)")
         print("  serve (expose a graph source over JSON/HTTP; see --source/--host/"
-              "--port, and --async/--tenants/--access-log for the multi-tenant "
-              "asyncio frontend)")
+              "--port, --tenants/--access-log for per-tenant policy and "
+              "--async for the asyncio adapter)")
         print("  partition (split a snapshot into consistent-hashed shards; "
               "see --source/--out/--shards/--replicas)")
         print("  repartition (re-balance an existing cluster dir and bump its "

@@ -228,7 +228,7 @@ class TenantConfigError(TenantError):
 class TenantAuthError(TenantError):
     """Raised when a request carries no (or an unknown) tenant API key.
 
-    Only raised server-side, where the asyncio frontend maps it to an HTTP
+    Only raised server-side, where the graph service maps it to an HTTP
     401; a client sees that as a :class:`RemoteBackendError` with
     ``status=401`` and the server's message.
     """

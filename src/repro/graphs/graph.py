@@ -98,8 +98,12 @@ class Graph:
         del self._adjacency[node]
         del self._attributes[node]
 
-    def set_attributes(self, node: NodeId, **attributes: Any) -> None:
-        """Merge ``attributes`` into the record of an existing node."""
+    def set_attributes(self, node: NodeId, /, **attributes: Any) -> None:
+        """Merge ``attributes`` into the record of an existing node.
+
+        ``node`` is positional-only, so an attribute may itself be named
+        ``node``.
+        """
         if node not in self._adjacency:
             raise NodeNotFoundError(node)
         self._attributes[node].update(attributes)

@@ -34,10 +34,6 @@ def open_text(path: PathLike, mode: str = "r") -> io.TextIOBase:
     return open(path, mode, encoding="utf-8")
 
 
-#: Backwards-compatible read-only alias (the original private helper name).
-_open_text = open_text
-
-
 def parse_edge_lines(
     lines: Iterable[str],
     comment_prefixes: Tuple[str, ...] = ("#", "%"),
@@ -83,7 +79,7 @@ def load_edge_list(
         delimiter: Field delimiter (default: any whitespace).
     """
     path = Path(path)
-    with _open_text(path) as handle:
+    with open_text(path) as handle:
         pairs = list(parse_edge_lines(handle, delimiter=delimiter))
     try:
         edges = [(node_type(u), node_type(v)) for u, v in pairs]
@@ -195,7 +191,7 @@ def load_attributes(
     :class:`LoaderError`.
     """
     count = 0
-    with _open_text(path) as handle:
+    with open_text(path) as handle:
         for node_token, value_token in parse_edge_lines(handle, delimiter=delimiter):
             try:
                 node = node_type(node_token)

@@ -404,11 +404,11 @@ def suppress_metrics() -> Iterator[None]:
     """Hide the global registry from this thread's instrumentation sites.
 
     For hot loops whose caller reports the same figures in aggregate
-    afterwards: the asyncio frontend's ``POST /walk`` runs an entire
+    afterwards: the graph service's ``POST /walk`` runs an entire
     client-grade middleware stack per walk, and paying a registry add per
     cache probe would tax the walk by more than the graph work itself —
-    the handler suppresses per-query reporting for the walk's executor
-    thread and folds the walk result's exact totals in with two adds.
+    the service suppresses per-query reporting for the walk's thread and
+    folds the walk result's exact totals in with two adds.
     """
     previous = getattr(_METRICS_TLS, "suppressed", False)
     _METRICS_TLS.suppressed = True

@@ -1,28 +1,13 @@
-"""Asyncio multi-tenant graph service speaking the ``repro-graph-http`` wire.
+"""Asyncio I/O adapter for the :class:`GraphService`.
 
-:class:`AsyncGraphServer` is the second frontend over the same wire the
-thread-per-connection :class:`~repro.server.app.GraphHTTPServer` serves — one
-event loop instead of one thread per connection, so thousands of idle
-keep-alive crawler connections cost a coroutine each rather than a stack
-each.  The parser is the asyncio port of the PR-5 lean HTTP/1.1 path (shared
-rules in :mod:`repro.server.wire`), and the endpoint surface is a strict
-superset of the threaded server's:
-
-* everything in :mod:`repro.server.app` (``/info``, ``/node/<id>``,
-  ``/nodes``, ``/meta/<id>``, ``/node-ids``), wire-identical;
-* ``POST /walk`` — run a whole random walk *server-side* (kernel, seed,
-  steps, start -> path + fingerprint), collapsing a crawl's
-  O(steps) round trips into one;
-* ``GET /stats`` — per-tenant usage: endpoint counts, nodes served, budget
-  remaining, rate-limit denials.
-
-Multi-tenancy promotes the PR-1 middleware to *server-side policy*: a
-``tenants.json`` file (:mod:`repro.server.tenants`) maps API keys to named
-tenants, each with its own unique-node budget and rolling rate limit.
-Budget exhaustion and throttling answer HTTP 429 with typed bodies
-(``budget_exhausted`` / ``rate_limited``) that the client maps back to the
-exact local exceptions, so a remote crawl against a restricted tenant fails
-identically to a local crawl under the same middleware.
+:class:`AsyncGraphServer` puts the same
+:class:`~repro.server.service.GraphService` the thread-per-connection
+:class:`~repro.server.app.GraphHTTPServer` serves on one event loop instead
+of one thread per connection, so thousands of idle keep-alive crawler
+connections cost a coroutine each rather than a stack each.  It only frames:
+requests are parsed with the rules of :mod:`repro.server.wire` and answered
+by the service — inline on the loop, except the requests the service marks
+as long-running (``POST /walk``), which run on the loop's default executor.
 
 The server runs its event loop on one named daemon thread
 (``repro-aio-server``); :meth:`start` / :meth:`close` and the stats surface
@@ -33,122 +18,25 @@ interchangeably.
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 import threading
-import time
-import urllib.parse
 import weakref
-from collections import Counter
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..api.backend import GraphBackend, as_backend
-from ..api.builder import build_api
-from ..api.remote import (
-    WIRE_FORMAT,
-    WIRE_VERSION,
-    decode_node_id,
-    record_to_wire,
-    walk_fingerprint,
-)
-from ..exceptions import (
-    DeadEndError,
-    InvalidConfigurationError,
-    InvalidStartNodeError,
-    NodeNotFoundError,
-    QueryBudgetExceededError,
-    RateLimitExceededError,
-    ReplayMissError,
-    TenantAuthError,
-)
-from ..obs import (
-    SPAN_ECHO_HEADER,
-    TRACE_HEADER,
-    MetricsRegistry,
-    format_span_echo,
-    metrics as global_metrics,
-    new_span_id,
-    parse_trace_header,
-    suppress_metrics,
-)
-from ..walks.factory import make_walker
-from .tenants import API_KEY_HEADER, TenantPolicy, WallClock, build_registry
+from .service import GraphService, ServiceHost, as_service
 from .wire import (
-    MAX_HEADERS,
     MAX_LINE,
-    HeaderLineError,
+    FramingError,
     LeanHeaders,
-    reachable_url,
+    body_length,
+    render_refusal,
+    render_response,
     store_header_line,
 )
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    401: "Unauthorized",
-    404: "Not Found",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-}
 
-#: Endpoints billed against a tenant's rate limit: the ones that cost the
-#: upstream service work per the paper's cost model (neighborhood queries and
-#: server-side walks).  ``/info``, ``/meta``, ``/node-ids`` and ``/stats``
-#: stay free, like profile peeks in the paper.
-_BILLABLE = {"/node", "/nodes", "/walk"}
-
-#: Cap on a server-side walk when the request names neither steps nor budget
-#: and the tenant is unlimited; without it one request could walk forever.
-_MAX_FREE_WALK_STEPS = 100_000
-
-
-class _BadRequest(Exception):
-    """Internal: a request the server rejects with HTTP 400."""
-
-
-class _ParseError(Exception):
-    """A request the parser must refuse, with the HTTP status to answer."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-@dataclass
-class _Request:
-    method: str
-    target: str
-    headers: LeanHeaders
-    body: bytes
-    close: bool = False
-
-    @property
-    def path(self) -> str:
-        return urllib.parse.urlsplit(self.target).path
-
-
-def _node_error_payload(error: NodeNotFoundError) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "error": "replay_miss" if isinstance(error, ReplayMissError) else "not_found",
-        "message": str(error),
-    }
-    try:
-        json.dumps(error.node)
-        payload["node"] = error.node
-    except (TypeError, ValueError):
-        payload["node"] = repr(error.node)
-    source = getattr(error, "source", None)
-    if source is not None:
-        payload["source"] = str(source)
-    return payload
-
-
-class AsyncGraphServer:
-    """An asyncio graph service bound to one :class:`GraphBackend`.
+class AsyncGraphServer(ServiceHost):
+    """An asyncio graph server bound to one :class:`GraphService`.
 
     The listening socket is bound eagerly in the constructor (so
     ``server_address`` / ``url`` exist before :meth:`start`), and the event
@@ -158,13 +46,9 @@ class AsyncGraphServer:
     frontend.
 
     Args:
-        source: Anything :func:`~repro.api.backend.as_backend` accepts.
+        source: A :class:`~repro.server.service.GraphService`, or anything
+            :func:`~repro.api.backend.as_backend` accepts.
         host / port: Bind address; ``port=0`` picks an ephemeral port.
-        tenants: ``None`` (open service), a ``tenants.json`` path, a decoded
-            tenants document, or a :class:`~repro.server.tenants.TenantRegistry`.
-        clock: Clock for rate-limit windows (defaults to the wall clock;
-            tests inject a :class:`~repro.api.ratelimit.SimulatedClock`).
-        access_log: Optional path; one JSON line is appended per request.
         timeout: Seconds a started request may dawdle mid-headers/body.
     """
 
@@ -177,26 +61,14 @@ class AsyncGraphServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        tenants=None,
-        clock=None,
-        access_log=None,
         timeout: float = 30.0,
     ) -> None:
-        self.graph_backend: GraphBackend = as_backend(source)
-        self.tenants = build_registry(tenants)
-        self._clock = clock if clock is not None else WallClock()
+        self.service: GraphService = as_service(source)
+        self.service.frontend = "async"
         self.timeout = timeout
         family = socket.AF_INET6 if ":" in str(host) else socket.AF_INET
         self._socket = socket.create_server((host, port), family=family)
         self.server_address = self._socket.getsockname()[:2]
-        self._access_log_path = Path(access_log) if access_log is not None else None
-        self._access_log = None
-        self.endpoint_counts: Counter = Counter()
-        self._nodes_served = 0
-        #: Per-server registry: isolated from other servers in the process,
-        #: rendered by ``GET /metrics``, reset atomically by `reset_stats`.
-        self.metrics = MetricsRegistry()
-        self._stats_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._boot_error: Optional[BaseException] = None
@@ -207,61 +79,14 @@ class AsyncGraphServer:
         AsyncGraphServer._live.add(self)
 
     # ------------------------------------------------------------------
-    # Request accounting (same surface as GraphHTTPServer)
-    # ------------------------------------------------------------------
-    def note_request(self, method: str, path: str) -> None:  # noqa: ARG002
-        endpoint = "/" + path.lstrip("/").split("/", 1)[0] if path.strip("/") else "/"
-        with self._stats_lock:
-            self.endpoint_counts[endpoint] += 1
-
-    def note_served(self, count: int) -> None:
-        with self._stats_lock:
-            self._nodes_served += count
-        self.metrics.inc("repro_server_nodes_served_total", count)
-
-    @property
-    def nodes_served(self) -> int:
-        """Total node records served across ``/node``, ``/nodes`` and ``/walk``."""
-        with self._stats_lock:
-            return self._nodes_served
-
-    def reset_stats(self) -> None:
-        """Zero every reported figure atomically: counts, registry, tenants.
-
-        Holding ``_stats_lock`` across all three makes the reset indivisible
-        with respect to `_stats_payload`; the registry's own lock makes it
-        indivisible with respect to a concurrent ``/metrics`` scrape.  Tenant
-        *enforcement* state (budget spent, rate windows) survives — only the
-        reported usage counters are cleared.
-        """
-        with self._stats_lock:
-            self.endpoint_counts.clear()
-            self._nodes_served = 0
-            self.metrics.reset()
-            for policy in self.tenants.policies():
-                policy.reset_usage()
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def url(self) -> str:
-        """A client-connectable URL for the bound address."""
-        host, port = self.server_address[:2]
-        return reachable_url(host, port)
-
     def start(self) -> "AsyncGraphServer":
         """Run the event loop from a background daemon thread; returns self."""
         if self._thread is not None:
             raise RuntimeError("server is already started")
         if self._closed:
             raise RuntimeError("server is closed")
-        if self._access_log_path is not None:
-            # Line-buffered so every entry lands on disk as soon as its line
-            # is complete — ``tail -f`` on the log sees requests live.
-            self._access_log = self._access_log_path.open(
-                "a", encoding="utf-8", buffering=1
-            )
         self._thread = threading.Thread(
             target=self._thread_main, name="repro-aio-server", daemon=True
         )
@@ -317,60 +142,28 @@ class AsyncGraphServer:
             self._thread = None
         else:
             self._socket.close()
-        if self._access_log is not None:
-            self._access_log.close()
-            self._access_log = None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @classmethod
-    def live_servers(cls) -> List["AsyncGraphServer"]:
-        """Every server not yet closed (leak detection in the test suite)."""
-        return list(cls._live)
-
-    def __enter__(self) -> "AsyncGraphServer":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.service.close()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - platform-dependent
-                pass
+        # asyncio's socket transports set TCP_NODELAY themselves.
         self._writers.add(writer)
         try:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except _ParseError as error:
-                    # Answer the refusal with ``Connection: close`` so a
-                    # smuggling probe can never leave ambiguous framing on a
-                    # kept-alive socket, then drop the connection.
-                    await self._write_response(
-                        writer,
-                        error.status,
-                        {"error": "bad_request", "message": error.message},
-                        close=True,
-                    )
+                except FramingError as error:
+                    writer.write(render_refusal(error))
+                    await writer.drain()
                     break
                 if request is None:
                     # Clean EOF between requests, or EOF mid-request (the
                     # async port of the half-sent-request fix): nobody is
                     # left to receive a response, so send none.
                     break
-                keep_alive = await self._respond(writer, request)
-                if not keep_alive:
+                if not await self._respond(writer, request):
                     break
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             pass
@@ -394,18 +187,19 @@ class AsyncGraphServer:
                 # spurious "Exception in callback ... CancelledError".
                 pass
 
-    async def _read_request(self, reader) -> Optional[_Request]:
-        """Read one request; ``None`` on EOF, :class:`_ParseError` on refuse.
+    async def _read_request(self, reader):
+        """Read one request; ``None`` on EOF, :class:`FramingError` on refuse.
 
-        The wait for the *first* byte is unbounded — an idle keep-alive
-        connection costs this server nothing — but once a request line has
-        arrived the rest of the request must land within ``timeout`` seconds,
-        so a stalled half-request cannot pin parser state forever.
+        Returns ``(method, target, headers, body)``.  The wait for the
+        *first* byte is unbounded — an idle keep-alive connection costs this
+        server nothing — but once a request line has arrived the rest of the
+        request must land within ``timeout`` seconds, so a stalled
+        half-request cannot pin parser state forever.
         """
         try:
             request_line = await reader.readline()
         except ValueError:
-            raise _ParseError(431, "Line too long") from None
+            raise FramingError(431, "Line too long") from None
         if not request_line:
             return None
         try:
@@ -415,10 +209,10 @@ class AsyncGraphServer:
         except (TimeoutError, asyncio.IncompleteReadError):
             return None
 
-    async def _read_rest(self, reader, request_line: bytes) -> Optional[_Request]:
+    async def _read_rest(self, reader, request_line: bytes):
         words = request_line.decode("iso-8859-1").rstrip("\r\n").split()
         if len(words) != 3 or words[2] != "HTTP/1.1":
-            raise _ParseError(
+            raise FramingError(
                 400, f"this server speaks HTTP/1.1 only, got {words!r}"
             )
         method, target, _version = words
@@ -427,410 +221,45 @@ class AsyncGraphServer:
             try:
                 line = await reader.readline()
             except ValueError:
-                raise _ParseError(431, "Line too long") from None
+                raise FramingError(431, "Line too long") from None
             if not line:
                 # EOF mid-headers: the client died before finishing the
                 # request — not the blank line that ends a header block.
                 # Dispatching the half-sent request would serve a response
                 # nobody can receive; close without responding instead.
                 return None
-            if line in (b"\r\n", b"\n"):
+            if store_header_line(raw, line):
                 break
-            if len(raw) >= MAX_HEADERS:
-                raise _ParseError(431, "Too many headers")
-            try:
-                store_header_line(raw, line)
-            except HeaderLineError as error:
-                raise _ParseError(error.status, error.message) from None
         headers = LeanHeaders(raw)
-        body = b""
-        length_header = headers.get("Content-Length")
-        if length_header is not None:
-            try:
-                length = int(length_header)
-            except ValueError:
-                length = -1
-            if length < 0:
-                raise _ParseError(400, "Content-Length is not a non-negative integer")
-            if length:
-                body = await reader.readexactly(length)
-        close = raw.get(b"connection", b"").lower() == b"close"
-        return _Request(method, target, headers, body, close)
+        length = body_length(headers)
+        body = await reader.readexactly(length) if length else b""
+        return method, target, headers, body
 
-    async def _write_response(
-        self,
-        writer,
-        status: int,
-        payload,
-        *,
-        close: bool = False,
-        extra_headers: str = "",
-    ) -> None:
-        if isinstance(payload, str):
-            # ``GET /metrics``: Prometheus text exposition, not JSON.
-            body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
+    async def _respond(self, writer, request) -> bool:
+        """Answer one request through the service; False ends the connection."""
+        service = self.service
+        if service.runs_long(request[0], request[1]):
+            loop = asyncio.get_running_loop()
+            response = await loop.run_in_executor(None, service.handle, *request)
         else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra_headers}"
-        )
-        if close:
-            head += "Connection: close\r\n"
-        writer.write(head.encode("iso-8859-1") + b"\r\n" + body)
+            response = service.handle(*request)
+        status, headers, body, close = response
+        writer.write(render_response(status, headers, body, close))
         await writer.drain()
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    async def _respond(self, writer, request: _Request) -> bool:
-        started = time.perf_counter()
-        path = request.path
-        self.note_request(request.method, path)
-        endpoint = "/" + path.lstrip("/").split("/", 1)[0] if path.strip("/") else "/"
-        # Trace context travels as an additive header; malformed or absent
-        # values leave tracing off for this request (never a refusal).
-        trace_ctx = parse_trace_header(request.headers.get(TRACE_HEADER))
-        tenant: Optional[TenantPolicy] = None
-        try:
-            tenant = self.tenants.resolve(request.headers.get(API_KEY_HEADER))
-        except TenantAuthError as error:
-            status, payload, served = 401, {"error": "unauthorized", "message": str(error)}, 0
-        else:
-            tenant.charge_request(endpoint)
-            status, payload, served = await self._dispatch(request, endpoint, tenant)
-        if served:
-            self.note_served(served)
-        duration_ms = (time.perf_counter() - started) * 1000.0
-        self.metrics.inc(
-            "repro_server_requests_total", endpoint=endpoint, status=status
-        )
-        self.metrics.observe("repro_server_request_ms", duration_ms, endpoint=endpoint)
-        if tenant is not None:
-            self.metrics.observe(
-                "repro_tenant_request_ms", duration_ms, tenant=tenant.name
-            )
-        extra_headers = ""
-        trace_id = None
-        if trace_ctx is not None:
-            trace_id, parent_span = trace_ctx
-            echo = format_span_echo(
-                trace_id, new_span_id(), parent_span, duration_ms,
-                "server" + endpoint,
-            )
-            extra_headers = f"{SPAN_ECHO_HEADER}: {echo}\r\n"
-        await self._write_response(
-            writer, status, payload, close=request.close, extra_headers=extra_headers
-        )
-        self._log_access(
-            tenant.name if tenant is not None else None,
-            request.method,
-            path,
-            status,
-            served,
-            duration_ms,
-            trace_id,
-        )
-        return not request.close
-
-    async def _dispatch(
-        self, request: _Request, endpoint: str, tenant: TenantPolicy
-    ) -> Tuple[int, Dict[str, Any], int]:
-        try:
-            if endpoint in _BILLABLE:
-                tenant.acquire_slot(self._clock)
-            if request.method == "GET":
-                return await self._route_get(request, tenant)
-            if request.method == "POST":
-                return await self._route_post(request, tenant)
-            return 400, {
-                "error": "bad_request",
-                "message": f"unsupported method {request.method}",
-            }, 0
-        except _BadRequest as error:
-            return 400, {"error": "bad_request", "message": str(error)}, 0
-        except RateLimitExceededError as error:
-            return 429, {
-                "error": "rate_limited",
-                "message": str(error),
-                "retry_after": error.retry_after,
-            }, 0
-        except QueryBudgetExceededError as error:
-            return 429, {
-                "error": "budget_exhausted",
-                "message": str(error),
-                "limit": error.budget,
-                "spent": error.spent,
-            }, 0
-        except NodeNotFoundError as error:
-            return 404, _node_error_payload(error), 0
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - surface as HTTP 500
-            return 500, {
-                "error": "server_error",
-                "message": f"{type(error).__name__}: {error}",
-            }, 0
-
-    @staticmethod
-    def _decode_node(segment: str):
-        try:
-            return decode_node_id(segment)
-        except ValueError:
-            raise _BadRequest(
-                f"node id path segment {segment!r} is not JSON "
-                f"(ids travel JSON-encoded, percent-escaped)"
-            ) from None
-
-    async def _route_get(
-        self, request: _Request, tenant: TenantPolicy
-    ) -> Tuple[int, Dict[str, Any], int]:
-        path = request.path
-        backend = self.graph_backend
-        if path == "/info":
-            descriptor: Dict[str, Any] = {
-                "format": WIRE_FORMAT,
-                "version": WIRE_VERSION,
-                "name": backend.name,
-                "nodes": len(backend),
-                "backend": type(backend).__name__,
-                "server": "async",
-            }
-            for key in ("recorded_start", "epoch", "shard", "replicas"):
-                value = getattr(backend, key, None)
-                if value is not None:
-                    descriptor["start" if key == "recorded_start" else key] = value
-            return 200, descriptor, 0
-        if path == "/node-ids":
-            return 200, {"nodes": backend.node_ids()}, 0
-        if path == "/stats":
-            return 200, self._stats_payload(), 0
-        if path == "/metrics":
-            return 200, self.metrics.render_prometheus(), 0
-        if path.startswith("/node/"):
-            node = self._decode_node(path[len("/node/"):])
-            fresh = tenant.reserve_nodes([node])
-            record = backend.fetch(node)
-            tenant.commit_nodes(fresh, 1)
-            return 200, record_to_wire(record), 1
-        if path.startswith("/meta/"):
-            node = self._decode_node(path[len("/meta/"):])
-            payload: Dict[str, Any] = {
-                "meta": node,
-                "contains": bool(backend.contains(node)),
-            }
-            summary = backend.metadata(node)
-            if summary is not None:
-                payload["degree"] = summary.get("degree")
-                payload["attributes"] = summary.get("attributes", {})
-            return 200, payload, 0
-        return 404, {
-            "error": "unknown_endpoint",
-            "message": f"no endpoint at {path}",
-        }, 0
-
-    async def _route_post(
-        self, request: _Request, tenant: TenantPolicy
-    ) -> Tuple[int, Dict[str, Any], int]:
-        path = request.path
-        if path == "/nodes":
-            payload = self._json_body(request)
-            nodes = payload.get("nodes") if isinstance(payload, dict) else None
-            if not isinstance(nodes, list):
-                raise _BadRequest('request body must be {"nodes": [...]}')
-            fresh = tenant.reserve_nodes(nodes)
-            records = self.graph_backend.fetch_many(nodes)
-            tenant.commit_nodes(fresh, len(records))
-            return 200, {
-                "records": [record_to_wire(record) for record in records]
-            }, len(records)
-        if path == "/walk":
-            return await self._route_walk(request, tenant)
-        return 404, {
-            "error": "unknown_endpoint",
-            "message": f"no endpoint at {path}",
-        }, 0
-
-    @staticmethod
-    def _json_body(request: _Request) -> Any:
-        try:
-            return json.loads(request.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise _BadRequest(f"request body is not JSON: {error}") from None
-
-    # ------------------------------------------------------------------
-    # Server-side walks
-    # ------------------------------------------------------------------
-    async def _route_walk(
-        self, request: _Request, tenant: TenantPolicy
-    ) -> Tuple[int, Dict[str, Any], int]:
-        payload = self._json_body(request)
-        if not isinstance(payload, dict):
-            raise _BadRequest('request body must be {"kernel": ..., "start": ...}')
-        kernel = payload.get("kernel")
-        if not isinstance(kernel, str):
-            raise _BadRequest('walk request needs a string "kernel"')
-        if "start" not in payload:
-            raise _BadRequest('walk request needs a "start" node id')
-        start = payload["start"]
-        seed = payload.get("seed", 0)
-        steps = payload.get("steps")
-        budget = payload.get("budget")
-        burn_in = payload.get("burn_in", 0)
-        thinning = payload.get("thinning", 1)
-        for name, value, optional in (
-            ("steps", steps, True),
-            ("budget", budget, True),
-            ("burn_in", burn_in, False),
-            ("thinning", thinning, False),
-        ):
-            if value is None and optional:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise _BadRequest(f'walk "{name}" must be a non-negative integer')
-        # Cap the walk's budget by what the tenant has left, so one request
-        # cannot crawl past its allowance; billing happens after the walk
-        # from its *unique* query count, matching the paper's cost model.
-        remaining = tenant.budget.remaining
-        if remaining is not None:
-            if remaining <= 0:
-                raise QueryBudgetExceededError(
-                    tenant.budget.limit, spent=tenant.budget.spent
-                )
-            budget = remaining if budget is None else min(budget, remaining)
-        if steps is None and budget is None:
-            steps = _MAX_FREE_WALK_STEPS
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(
-                None,
-                self._run_walk,
-                kernel, start, seed, steps, budget, burn_in, thinning,
-            )
-        except (InvalidConfigurationError, InvalidStartNodeError, DeadEndError,
-                ValueError) as error:
-            raise _BadRequest(str(error)) from error
-        tenant.bill_walk(result.unique_queries)
-        self.metrics.inc("repro_server_walks_total")
-        path = list(result.path)
-        return 200, {
-            "path": path,
-            "fingerprint": walk_fingerprint(path),
-            "steps": result.steps,
-            "unique_queries": result.unique_queries,
-            "total_queries": result.total_queries,
-            "stopped_by_budget": result.stopped_by_budget,
-            "samples": len(result.samples),
-        }, result.unique_queries
-
-    def _run_walk(self, kernel, start, seed, steps, budget, burn_in, thinning):
-        """Run one walk on an executor thread, off the event loop.
-
-        The walk gets the same default middleware stack a local crawl builds
-        (:func:`~repro.api.builder.build_api` with a fresh budget), so a
-        server-side walk is bit-identical to the client-driven walk with the
-        same kernel, seed and budget — the conformance suite pins this.
-        """
-        api = build_api(self.graph_backend, budget=budget)
-        walker = make_walker(kernel, api=api, seed=seed)
-        # Per-query registry adds would tax the walk by more than the graph
-        # work itself; report the walk's cache traffic in aggregate instead
-        # (every repeated query is a hit, every unique one a miss).
-        with suppress_metrics():
-            result = walker.run(
-                start, max_steps=steps, burn_in=burn_in, thinning=thinning
-            )
-        registry = global_metrics()
-        if registry is not None:
-            registry.inc(
-                "repro_cache_hits_total",
-                result.total_queries - result.unique_queries,
-            )
-            registry.inc("repro_cache_misses_total", result.unique_queries)
-        return result
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def _stats_payload(self) -> Dict[str, Any]:
-        # Tenants are read under the same lock `reset_stats` holds, so a
-        # stats read never interleaves with a reset (half-zeroed figures).
-        with self._stats_lock:
-            endpoints = dict(self.endpoint_counts)
-            nodes_served = self._nodes_served
-            tenants = {
-                policy.name: policy.stats_payload()
-                for policy in self.tenants.policies()
-            }
-        return {
-            "format": WIRE_FORMAT,
-            "version": WIRE_VERSION,
-            "server": "async",
-            "endpoints": endpoints,
-            "nodes_served": nodes_served,
-            "tenants": tenants,
-            "latency": {
-                "endpoints": self.metrics.histogram_family(
-                    "repro_server_request_ms", "endpoint"
-                ),
-                "tenants": self.metrics.histogram_family(
-                    "repro_tenant_request_ms", "tenant"
-                ),
-            },
-        }
-
-    def _log_access(
-        self,
-        tenant: Optional[str],
-        method: str,
-        path: str,
-        status: int,
-        nodes: int,
-        duration_ms: float,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        if self._access_log is None:
-            return
-        entry = {
-            "ts": round(time.time(), 6),
-            "tenant": tenant,
-            "method": method,
-            "path": path,
-            "status": status,
-            "nodes": nodes,
-            "ms": round(duration_ms, 3),
-            "duration_ms": round(duration_ms, 3),
-        }
-        if trace_id is not None:
-            entry["trace_id"] = trace_id
-        line = json.dumps(entry)
-        try:
-            self._access_log.write(line + "\n")
-            self._access_log.flush()
-        except ValueError:  # pragma: no cover - log closed mid-shutdown
-            pass
+        return not close
 
 
 def serve_backend_async(
     source,
     host: str = "127.0.0.1",
     port: int = 0,
-    *,
-    tenants=None,
-    clock=None,
-    access_log=None,
 ) -> AsyncGraphServer:
     """Bind an :class:`AsyncGraphServer` over ``source`` and return it (not serving).
 
     The asyncio twin of :func:`~repro.server.app.serve_backend`: ``source``
-    is anything :func:`~repro.api.backend.as_backend` accepts, ``port=0``
-    binds an ephemeral port, and :meth:`~AsyncGraphServer.start` (or the
-    context manager) serves from a background thread.
+    is a :class:`~repro.server.service.GraphService` or anything
+    :func:`~repro.api.backend.as_backend` accepts, ``port=0`` binds an
+    ephemeral port, and :meth:`~AsyncGraphServer.start` (or the context
+    manager) serves from a background thread.
     """
-    return AsyncGraphServer(
-        source, host, port, tenants=tenants, clock=clock, access_log=access_log
-    )
+    return AsyncGraphServer(source, host, port)

@@ -1,77 +1,45 @@
-"""Stdlib JSON-over-HTTP graph service over any :class:`GraphBackend`.
+"""Thread-per-connection I/O adapter for the :class:`GraphService`.
 
 :func:`serve_backend` binds a :class:`GraphHTTPServer` (a
-``http.server.ThreadingHTTPServer``) over any graph source —
-an in-memory :class:`~repro.graphs.graph.Graph`, a CSR backend, a
-memory-mapped snapshot directory or a crawl-dump replay — and
-:class:`GraphRequestHandler` answers the wire protocol of
-:mod:`repro.api.remote` (the PR-3 crawl-record JSON):
-
-* ``GET /info`` — service descriptor,
-* ``GET /node/<id>`` — one neighborhood record (404 + error JSON on a miss),
-* ``POST /nodes`` — batched ``fetch_many`` (atomic; a miss 404s the batch),
-* ``GET /meta/<id>`` — the free profile summary ``peek_metadata`` serves,
-* ``GET /node-ids`` — every node id in backend order.
-
-Node-level errors carry typed JSON bodies so the client can reconstruct the
-exact local exception: ``{"error": "not_found" | "replay_miss", "node": ...,
-"message": ...}`` — a replay-backed server reports out-of-dump queries with
-the original node id and dump path intact.  Backend or serialisation failures
-become 500s with an ``error: server_error`` body.
-
-The server counts requests per endpoint and the total node records served
-(``endpoint_counts`` / ``nodes_served``), which is how the test suite pins
-"a cached walk hits the network exactly ``unique_queries`` times".
+``http.server.ThreadingHTTPServer``) over any graph source — an in-memory
+:class:`~repro.graphs.graph.Graph`, a CSR backend, a memory-mapped snapshot
+directory, a crawl-dump replay — or over a ready
+:class:`~repro.server.service.GraphService` (tenants, access log).
+:class:`GraphRequestHandler` only frames: it parses each request with the
+rules of :mod:`repro.server.wire`, hands it to the service and writes the
+answer back.  Routing, tenants, accounting and the wire schema are the
+service's.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
-import time
-import urllib.parse
 import weakref
-from collections import Counter
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from ..api.backend import GraphBackend, as_backend
-from ..api.remote import WIRE_FORMAT, WIRE_VERSION, decode_node_id, record_to_wire
-from ..exceptions import NodeNotFoundError, ReplayMissError
-from ..obs import (
-    SPAN_ECHO_HEADER,
-    TRACE_HEADER,
-    MetricsRegistry,
-    format_span_echo,
-    new_span_id,
-    parse_trace_header,
-)
+from ..api.remote import WIRE_FORMAT, WIRE_VERSION
+from .service import GraphService, ServiceHost, as_service
 from .wire import (
-    MAX_HEADERS,
     MAX_LINE,
-    HeaderLineError,
+    FramingError,
     LeanHeaders,
-    reachable_url,
+    body_length,
+    render_refusal,
+    render_response,
     store_header_line,
 )
 
-#: Back-compat alias: the header map moved to :mod:`repro.server.wire` so the
-#: asyncio frontend shares it.
-_LeanHeaders = LeanHeaders
-
-
-class _BadRequest(Exception):
-    """Internal: a request the handler rejects with HTTP 400."""
-
 
 class GraphRequestHandler(BaseHTTPRequestHandler):
-    """Route one HTTP request to the server's backend.
+    """Frame one connection's requests for the server's :class:`GraphService`.
 
     ``protocol_version = "HTTP/1.1"`` enables keep-alive, so a client reuses
     one connection for a whole crawl; every response carries an exact
     ``Content-Length``.  Subclasses may override :meth:`inject_fault` to
-    simulate a misbehaving service (the test suite's fault-injection layer).
+    simulate a misbehaving transport (the test suite's fault-injection layer).
     """
 
     protocol_version = "HTTP/1.1"
@@ -79,14 +47,29 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
     #: Idle keep-alive connections are dropped after this many seconds, so a
     #: vanished client can never pin a handler thread forever.
     timeout = 30
-    #: TCP_NODELAY: the response is written as headers then body; with Nagle
-    #: on, the body write stalls behind the peer's delayed ACK (~40ms per
-    #: request), which would dominate a whole crawl of small responses.
+    #: TCP_NODELAY: with Nagle on, a response written after the previous
+    #: one's delayed ACK stalls ~40ms, which would dominate a whole crawl of
+    #: small responses.
     disable_nagle_algorithm = True
-    #: Buffer response writes (stdlib default is unbuffered): headers and
-    #: body coalesce into one TCP segment, flushed once per request by
-    #: ``handle_one_request`` — halving the write syscalls of every response.
+    #: Buffer response writes (stdlib default is unbuffered): each response
+    #: goes out in one flush per request, one write syscall.
     wbufsize = -1
+
+    def handle_one_request(self) -> None:
+        """Read, frame and answer one request (every method goes to the service)."""
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_LINE + 1)
+            if not self.raw_requestline:
+                self.close_connection = True
+            elif len(self.raw_requestline) > MAX_LINE:
+                self._refuse(FramingError(414, "Request line too long"))
+            elif self.parse_request():
+                self._serve()
+            self.wfile.flush()
+        except (TimeoutError, BrokenPipeError, ConnectionResetError):
+            # A read or write timed out, or the peer vanished: discard this
+            # connection.
+            self.close_connection = True
 
     def parse_request(self) -> bool:
         """Parse one request, bypassing ``email.parser`` on the fast path.
@@ -96,7 +79,7 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         out-costs the graph fetch itself on a loopback crawl and multiplies
         by the fan-out on a sharded tier.  A well-formed ``HTTP/1.1``
         request (every client of this wire) takes the lean path: split the
-        request line, collect raw header lines into a :class:`_LeanHeaders`
+        request line, collect raw header lines into a :class:`LeanHeaders`
         map.  Anything else — other HTTP versions, malformed request lines —
         falls back to the stdlib parser for its full error handling.
         """
@@ -110,9 +93,6 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         raw: Dict[bytes, bytes] = {}
         while True:
             line = self.rfile.readline(MAX_LINE + 1)
-            if len(line) > MAX_LINE:
-                self.send_error(431, "Line too long")
-                return False
             if not line:
                 # EOF mid-headers: the client died (or shut its write side)
                 # before finishing the request.  This is *not* the blank line
@@ -122,22 +102,13 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
                 # connection without responding.
                 self.close_connection = True
                 return False
-            if line in (b"\r\n", b"\n"):
-                break
-            if len(raw) >= MAX_HEADERS:
-                # Mirror http.client's _MAXHEADERS: without a cap one
-                # connection could grow the dict without bound.
-                self.send_error(431, "Too many headers")
-                return False
             try:
-                store_header_line(raw, line)
-            except HeaderLineError as error:
-                # send_error answers with ``Connection: close``, so a
-                # conflicting-duplicate probe can never leave ambiguous
-                # framing on a kept-alive socket.
-                self.send_error(error.status, error.message)
+                if store_header_line(raw, line):
+                    break
+            except FramingError as error:
+                self._refuse(error)
                 return False
-        self.headers = _LeanHeaders(raw)
+        self.headers = LeanHeaders(raw)
         if raw.get(b"connection", b"").lower() == b"close":
             self.close_connection = True
         if raw.get(b"expect", b"").lower() == b"100-continue":
@@ -145,238 +116,52 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
                 return False
         return True
 
-    @property
-    def backend(self) -> GraphBackend:
-        return self.server.graph_backend
+    def _refuse(self, error: FramingError) -> None:
+        self.close_connection = True
+        self.wfile.write(render_refusal(error))
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Answer the stdlib parser's refusals as JSON too, not HTML pages."""
+        self._refuse(FramingError(code, message or HTTPStatus(code).phrase))
+
+    def _serve(self) -> None:
+        # The body is drained before any response: answering without
+        # consuming it would leave it in the socket, where it poisons the
+        # next keep-alive request's parse.
+        try:
+            length = body_length(self.headers)
+        except FramingError as error:
+            self._refuse(error)
+            return
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:
+            # EOF mid-body: nobody is left to receive a response.
+            self.close_connection = True
+            return
+        service = self.server.service
+        if self.inject_fault():
+            service.count_request(self.path)
+            return
+        status, headers, payload, close = service.handle(
+            self.command, self.path, self.headers, body
+        )
+        if close:
+            self.close_connection = True
+        self.wfile.write(render_response(status, headers, payload, self.close_connection))
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Silence the default per-request stderr logging."""
-
-    def send_response(self, code, message=None):
-        """Send the status line only — no ``Server`` / ``Date`` headers.
-
-        Neither header is consumed by any client of this wire, but both are
-        formatted per response (``Date`` runs strftime) and parsed per
-        response on the client; at thousands of tiny keep-alive exchanges
-        per crawl the two lines are measurable on both ends.
-        """
-        self.send_response_only(code, message)
 
     def inject_fault(self) -> bool:
         """Hook for fault injection; return True to swallow the request."""
         return False
 
-    # ------------------------------------------------------------------
-    # Responses
-    # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json")
 
-    def _send_text(self, status: int, text: str) -> None:
-        """A text/plain response (the Prometheus ``/metrics`` exposition)."""
-        self._send_body(
-            status, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
-        )
+class GraphHTTPServer(ServiceHost, ThreadingHTTPServer):
+    """A threading HTTP server bound to one :class:`GraphService`.
 
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        self._status_sent = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_ctx = getattr(self, "_trace_ctx", None)
-        if trace_ctx is not None:
-            # Trace echo: the server's completed span, duration measured from
-            # dispatch start to the response header write (the residual body
-            # write is a few microseconds on loopback).
-            trace_id, parent_span = trace_ctx
-            duration_ms = (time.perf_counter() - self._dispatch_started) * 1000.0
-            self.send_header(
-                SPAN_ECHO_HEADER,
-                format_span_echo(
-                    trace_id, self._server_span_id, parent_span, duration_ms,
-                    "server" + getattr(self, "_endpoint", "/"),
-                ),
-            )
-        if self.close_connection:
-            # Tell the client the keep-alive ends here (e.g. after a request
-            # whose body could not be drained), so it reconnects cleanly
-            # instead of discovering a dead socket on its next request.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_node_error(self, error: NodeNotFoundError) -> None:
-        payload: Dict[str, Any] = {
-            "error": "replay_miss" if isinstance(error, ReplayMissError) else "not_found",
-            "message": str(error),
-        }
-        try:
-            json.dumps(error.node)
-            payload["node"] = error.node
-        except (TypeError, ValueError):
-            # A non-JSON-able id can only have been produced server-side (the
-            # wire always delivers JSON values); degrade to its repr.
-            payload["node"] = repr(error.node)
-        source = getattr(error, "source", None)
-        if source is not None:
-            payload["source"] = str(source)
-        self._send_json(404, payload)
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _decode_node(segment: str):
-        try:
-            return decode_node_id(segment)
-        except ValueError:
-            raise _BadRequest(
-                f"node id path segment {segment!r} is not JSON "
-                f"(ids travel JSON-encoded, percent-escaped)"
-            ) from None
-
-    def _read_body(self) -> Optional[bytes]:
-        """Drain the request body exactly once, before any response.
-
-        Responding without consuming the body would leave it in the socket,
-        where it poisons the next keep-alive request's parse — so this runs
-        for *every* request (fault-injected and error responses included).
-        ``None`` means the Content-Length header was unreadable; the
-        connection is already marked for closing.
-        """
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            return b""
-        try:
-            length = int(length_header)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # Unreadable or negative: rfile.read(-1) would block on the
-            # keep-alive socket until the handler timeout, pinning a worker.
-            self.close_connection = True
-            return None
-        return self.rfile.read(length)
-
-    def _dispatch(self, route) -> None:
-        self._dispatch_started = time.perf_counter()
-        path = urllib.parse.urlsplit(self.path).path
-        self._endpoint = (
-            "/" + path.lstrip("/").split("/", 1)[0] if path.strip("/") else "/"
-        )
-        # Trace context travels as an additive header; malformed or absent
-        # values leave tracing off for this request (never a refusal).
-        self._trace_ctx = parse_trace_header(self.headers.get(TRACE_HEADER))
-        self._server_span_id = new_span_id() if self._trace_ctx is not None else ""
-        self._status_sent = 0
-        self.server.note_request(self.command, path)
-        self._body = self._read_body()
-        if self.inject_fault():
-            return
-        try:
-            route()
-        except _BadRequest as error:
-            self._send_json(400, {"error": "bad_request", "message": str(error)})
-        except NodeNotFoundError as error:
-            self._send_node_error(error)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            self.close_connection = True
-        except Exception as error:  # noqa: BLE001 - surface as HTTP 500
-            self._send_json(
-                500,
-                {"error": "server_error", "message": f"{type(error).__name__}: {error}"},
-            )
-        finally:
-            if self._status_sent:
-                duration_ms = (time.perf_counter() - self._dispatch_started) * 1000.0
-                self.server.note_response(self._endpoint, self._status_sent, duration_ms)
-
-    def do_GET(self) -> None:
-        self._dispatch(self._route_get)
-
-    def do_POST(self) -> None:
-        self._dispatch(self._route_post)
-
-    def _route_get(self) -> None:
-        path = urllib.parse.urlsplit(self.path).path
-        backend = self.backend
-        if path == "/info":
-            descriptor = {
-                "format": WIRE_FORMAT,
-                "version": WIRE_VERSION,
-                "name": backend.name,
-                "nodes": len(backend),
-                "backend": type(backend).__name__,
-            }
-            # Replay-backed servers publish the dump's recorded start so a
-            # remote client can restart the recorded crawl without pulling
-            # the whole id table.
-            start = getattr(backend, "recorded_start", None)
-            if start is not None:
-                descriptor["start"] = start
-            # Shard slices publish their membership epoch and replica spec
-            # so cluster clients can detect a stale manifest after a
-            # repartition without any new wire version.
-            epoch = getattr(backend, "epoch", None)
-            if epoch is not None:
-                descriptor["epoch"] = epoch
-            shard = getattr(backend, "shard", None)
-            if shard is not None:
-                descriptor["shard"] = shard
-            replicas = getattr(backend, "replicas", None)
-            if replicas is not None:
-                descriptor["replicas"] = replicas
-            self._send_json(200, descriptor)
-        elif path == "/node-ids":
-            self._send_json(200, {"nodes": backend.node_ids()})
-        elif path == "/stats":
-            self._send_json(200, self.server.stats_payload())
-        elif path == "/metrics":
-            self._send_text(200, self.server.metrics.render_prometheus())
-        elif path.startswith("/node/"):
-            node = self._decode_node(path[len("/node/"):])
-            record = backend.fetch(node)
-            self.server.note_served(1)
-            self._send_json(200, record_to_wire(record))
-        elif path.startswith("/meta/"):
-            node = self._decode_node(path[len("/meta/"):])
-            payload: Dict[str, Any] = {"meta": node, "contains": bool(backend.contains(node))}
-            summary = backend.metadata(node)
-            if summary is not None:
-                payload["degree"] = summary.get("degree")
-                payload["attributes"] = summary.get("attributes", {})
-            self._send_json(200, payload)
-        else:
-            self._send_json(
-                404, {"error": "unknown_endpoint", "message": f"no endpoint at {path}"}
-            )
-
-    def _route_post(self) -> None:
-        path = urllib.parse.urlsplit(self.path).path
-        if path != "/nodes":
-            self._send_json(
-                404, {"error": "unknown_endpoint", "message": f"no endpoint at {path}"}
-            )
-            return
-        if self._body is None:
-            raise _BadRequest("Content-Length is not an integer")
-        try:
-            payload = json.loads(self._body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise _BadRequest(f"request body is not JSON: {error}") from None
-        nodes = payload.get("nodes") if isinstance(payload, dict) else None
-        if not isinstance(nodes, list):
-            raise _BadRequest('request body must be {"nodes": [...]}')
-        records = self.backend.fetch_many(nodes)
-        self.server.note_served(len(records))
-        self._send_json(200, {"records": [record_to_wire(record) for record in records]})
-
-
-class GraphHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`GraphBackend`.
-
-    Build one with :func:`serve_backend`.  :meth:`start` serves from a named
+    Build one with :func:`serve_backend` (``source`` is a service, or
+    anything an open service is built over).  :meth:`start` serves from a named
     daemon thread; :meth:`close` stops the accept loop, force-closes any
     still-open keep-alive connections (so no handler thread can linger on a
     blocked read) and joins every thread — the test suite asserts that no
@@ -388,77 +173,18 @@ class GraphHTTPServer(ThreadingHTTPServer):
     #: Every not-yet-closed server, so the test suite can assert zero leaks.
     _live: "weakref.WeakSet[GraphHTTPServer]" = weakref.WeakSet()
 
-    def __init__(self, address, handler_class, backend: GraphBackend) -> None:
+    def __init__(self, address, handler_class, source) -> None:
+        # Build the service before binding, so a bad source leaves no
+        # listening socket behind.
+        self.service: GraphService = as_service(source)
+        self.service.frontend = "threaded"
         super().__init__(address, handler_class)
-        self.graph_backend = backend
-        self.endpoint_counts: Counter = Counter()
-        self._nodes_served = 0
-        #: Per-server registry: isolated from other servers in the process,
-        #: rendered by ``GET /metrics``, reset atomically by `reset_stats`.
-        self.metrics = MetricsRegistry()
-        self._stats_lock = threading.Lock()
         self._connections_lock = threading.Lock()
         self._connections: set = set()
         self._handler_threads: List[threading.Thread] = []
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         GraphHTTPServer._live.add(self)
-
-    # ------------------------------------------------------------------
-    # Request accounting (used by tests to pin network-hit counts)
-    # ------------------------------------------------------------------
-    def note_request(self, method: str, path: str) -> None:
-        endpoint = "/" + path.lstrip("/").split("/", 1)[0] if path.strip("/") else "/"
-        with self._stats_lock:
-            self.endpoint_counts[endpoint] += 1
-
-    def note_served(self, count: int) -> None:
-        with self._stats_lock:
-            self._nodes_served += count
-        self.metrics.inc("repro_server_nodes_served_total", count)
-
-    def note_response(self, endpoint: str, status: int, duration_ms: float) -> None:
-        """Fold one completed exchange into the registry (handler threads)."""
-        self.metrics.inc(
-            "repro_server_requests_total", endpoint=endpoint, status=status
-        )
-        self.metrics.observe("repro_server_request_ms", duration_ms, endpoint=endpoint)
-
-    @property
-    def nodes_served(self) -> int:
-        """Total node records served across ``/node`` and ``/nodes``."""
-        with self._stats_lock:
-            return self._nodes_served
-
-    def stats_payload(self) -> Dict[str, Any]:
-        """The ``GET /stats`` body — same shape as the asyncio frontend's."""
-        with self._stats_lock:
-            payload: Dict[str, Any] = {
-                "format": WIRE_FORMAT,
-                "version": WIRE_VERSION,
-                "server": "threaded",
-                "endpoints": dict(self.endpoint_counts),
-                "nodes_served": self._nodes_served,
-                "tenants": {},
-            }
-        payload["latency"] = {
-            "endpoints": self.metrics.histogram_family(
-                "repro_server_request_ms", "endpoint"
-            ),
-        }
-        return payload
-
-    def reset_stats(self) -> None:
-        """Zero every reported figure — counts and registry — atomically.
-
-        Holding ``_stats_lock`` across both makes the reset indivisible with
-        respect to `stats_payload`; the registry's own lock makes it
-        indivisible with respect to a concurrent ``/metrics`` scrape.
-        """
-        with self._stats_lock:
-            self.endpoint_counts.clear()
-            self._nodes_served = 0
-            self.metrics.reset()
 
     # ------------------------------------------------------------------
     # Connection tracking (so close() never hangs on a keep-alive socket)
@@ -493,17 +219,6 @@ class GraphHTTPServer(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def url(self) -> str:
-        """A client-connectable URL for the bound address.
-
-        Wildcard binds (``0.0.0.0`` / ``::``) resolve to the matching
-        loopback — the literal wildcard is not connectable — and IPv6 hosts
-        are bracketed so the URL authority parses.
-        """
-        host, port = self.server_address[:2]
-        return reachable_url(host, port)
-
     def start(self) -> "GraphHTTPServer":
         """Serve from a background daemon thread; returns self."""
         if self._thread is not None:
@@ -540,23 +255,7 @@ class GraphHTTPServer(ThreadingHTTPServer):
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @classmethod
-    def live_servers(cls) -> List["GraphHTTPServer"]:
-        """Every server not yet closed (leak detection in the test suite)."""
-        return list(cls._live)
-
-    def __enter__(self) -> "GraphHTTPServer":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.service.close()
 
 
 def serve_backend(
@@ -567,12 +266,12 @@ def serve_backend(
 ) -> GraphHTTPServer:
     """Bind a :class:`GraphHTTPServer` over ``source`` and return it (not serving yet).
 
-    ``source`` is anything :func:`~repro.api.backend.as_backend` accepts: a
-    graph, a backend, or a path to a snapshot directory / crawl dump.
+    ``source`` is a :class:`~repro.server.service.GraphService` or anything
+    :func:`~repro.api.backend.as_backend` accepts (a graph, a backend, or a
+    path to a snapshot directory / crawl dump), served as an open service.
     ``port=0`` binds an ephemeral port (read it back from ``server.url``).
     Call :meth:`~GraphHTTPServer.start` (or enter the context manager) to
-    serve from a background thread, or ``serve_forever()`` to serve in the
-    foreground as the CLI does.
+    serve from a background thread, as the CLI does, or ``serve_forever()``
+    to serve in the foreground.
     """
-    backend = as_backend(source)
-    return GraphHTTPServer((host, port), handler_class, backend)
+    return GraphHTTPServer((host, port), handler_class, source)

@@ -6,9 +6,9 @@ crawler's own process.  Here the same policy objects
 (:class:`~repro.api.budget.QueryBudget`,
 :class:`~repro.api.ratelimit.RateLimitPolicy`) are promoted to the serving
 tier: a ``tenants.json`` file maps API keys to named tenants, each carrying
-its own budget, rate limit and usage counters, and the asyncio frontend
-(:mod:`repro.server.aio`) enforces them per request — a 429 with a typed JSON
-body instead of an in-process exception.
+its own budget, rate limit and usage counters, and the graph service
+(:mod:`repro.server.service`, behind both HTTP frontends) enforces them per
+request — a 429 with a typed JSON body instead of an in-process exception.
 
 The tenants file is versioned like every other format in the tree::
 
@@ -85,8 +85,9 @@ class WallClock:
 class TenantPolicy:
     """One tenant's server-side policy state and usage counters.
 
-    Mutated only from the server's event loop (the asyncio frontend is
-    single-threaded), read from any thread via :meth:`stats_payload`.
+    Not thread-safe on its own: the owning
+    :class:`~repro.server.service.GraphService` calls every method under its
+    one lock (handler threads and walk executors share a tenant).
     """
 
     def __init__(
@@ -108,9 +109,12 @@ class TenantPolicy:
         #: bills *unique* queries, so a tenant's revisits are free (bounded by
         #: the budget — an unlimited tenant skips the tracking entirely).
         self._seen: set = set()
+        #: Billed nodes whose fetch has not yet succeeded, with the number of
+        #: in-flight requests holding each (see `settle_nodes`).
+        self._unsettled: Dict[NodeId, int] = {}
 
     # ------------------------------------------------------------------
-    # Enforcement (called per request by the asyncio frontend)
+    # Enforcement (called per request by the graph service)
     # ------------------------------------------------------------------
     def charge_request(self, endpoint: str) -> None:
         self.endpoint_counts[endpoint] += 1
@@ -126,30 +130,61 @@ class TenantPolicy:
             raise
 
     def reserve_nodes(self, nodes: Sequence[NodeId]) -> List[NodeId]:
-        """The not-yet-billed subset of ``nodes``; raises when it cannot fit.
+        """Bill the not-yet-billed subset of ``nodes``; raises when it cannot fit.
 
-        Raising *before* the backend fetch keeps a denied request free: no
-        partial billing, no records served.
+        Billing *before* the backend fetch keeps a denied request free (no
+        partial billing, no records served) and lets concurrent requests see
+        each other's bills, so a node is billed once however many requests
+        race for it.  Returns the *held* ids — this request's fresh nodes
+        plus billed nodes whose fetch is still in flight elsewhere — which
+        :meth:`settle_nodes` resolves once the fetch is over.
         """
         if self.budget.unlimited:
             return []
         fresh: List[NodeId] = []
+        held: List[NodeId] = []
         batch: set = set()
         for node in nodes:
-            if node not in self._seen and node not in batch:
-                batch.add(node)
+            if node in batch:
+                continue
+            batch.add(node)
+            if node not in self._seen:
                 fresh.append(node)
+            elif node in self._unsettled:
+                held.append(node)
         if not self.budget.can_spend(len(fresh)):
             self.budget_denied += 1
             raise QueryBudgetExceededError(self.budget.limit, spent=self.budget.spent)
-        return fresh
+        self.budget.spend(len(fresh))
+        self._seen.update(fresh)
+        held.extend(fresh)
+        unsettled = self._unsettled
+        for node in held:
+            unsettled[node] = unsettled.get(node, 0) + 1
+        return held
 
-    def commit_nodes(self, fresh: Sequence[NodeId], served: int) -> None:
-        """Bill a successful fetch: spend the reservation, count the records."""
-        if fresh:
-            self.budget.spend(len(fresh))
-            self._seen.update(fresh)
-        self.nodes_served += served
+    def settle_nodes(self, held: Sequence[NodeId], served: bool) -> None:
+        """Close a :meth:`reserve_nodes` hold once its fetch is over.
+
+        A served node's bill stands for good.  A failed fetch takes a bill
+        back only when no other request has served the node or still holds
+        it — otherwise a racing request would have been served it for free.
+        """
+        unsettled = self._unsettled
+        if served:
+            for node in held:
+                unsettled.pop(node, None)
+            return
+        for node in held:
+            refs = unsettled.get(node)
+            if refs is None:
+                continue  # another request served it: the bill stands
+            if refs > 1:
+                unsettled[node] = refs - 1
+            else:
+                del unsettled[node]
+                self._seen.discard(node)
+                self.budget.spent -= 1
 
     def bill_walk(self, unique_queries: int) -> None:
         """Bill one server-side walk's unique-query cost against the budget.
@@ -219,7 +254,7 @@ class TenantRegistry:
 
     An *open* registry (no tenants configured) resolves every request —
     keyed or not — to one shared unlimited ``public`` tenant, so a plain
-    ``serve --async`` behaves exactly like the threaded frontend.  A
+    ``serve`` bills nothing and refuses nothing.  A
     registry built from a tenants file *requires* a known key and answers
     anything else with :class:`~repro.exceptions.TenantAuthError`.
     """

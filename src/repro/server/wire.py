@@ -1,15 +1,21 @@
-"""Shared pieces of the lean HTTP/1.1 wire, used by both server frontends.
+"""HTTP/1.1 framing shared by both server frontends.
 
 The thread-per-connection :mod:`repro.server.app` and the asyncio
-:mod:`repro.server.aio` frontends speak the exact same ``repro-graph-http``
-wire, so the parsing rules that carry correctness weight live here once:
+:mod:`repro.server.aio` adapters put the same
+:class:`~repro.server.service.GraphService` on the wire, so every framing
+rule that carries correctness weight lives here once:
 
 * :class:`LeanHeaders` — the case-insensitive raw-bytes header map the fast
   request path builds instead of an ``email.message.Message``;
-* :func:`store_header_line` — one header line into that map, rejecting
-  malformed lines *and conflicting duplicates* (two different
+* :func:`store_header_line` — one header line into that map, enforcing the
+  size caps and rejecting malformed lines *and conflicting duplicates* (two different
   ``Content-Length`` values is the classic request-smuggling shape: whichever
   copy a proxy honours, this service must refuse rather than pick one);
+* :func:`body_length` — how many body bytes follow the headers: only a
+  plain non-negative ``Content-Length`` frames a body, and any request
+  ``Transfer-Encoding`` is refused (the CL/TE smuggling shape);
+* :func:`render_response` / :func:`render_refusal` — the bytes of one
+  response, and of a refusal that closes the connection;
 * :func:`reachable_url` — a client-connectable URL for a bound address
   (wildcard binds resolved to loopback, IPv6 hosts bracketed).
 
@@ -19,12 +25,19 @@ line and :data:`MAX_HEADERS` header lines per request.
 
 from __future__ import annotations
 
-from typing import Dict
+import json
+from http import HTTPStatus
+from typing import Dict, Iterable, Tuple
 
 #: Hard cap on one request/status/header line (mirrors http.client).
 MAX_LINE = 65536
 #: Hard cap on header lines per request (mirrors http.client's _MAXHEADERS).
 MAX_HEADERS = 100
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+#: The JSON ``error`` token of each status: its lowercased ``HTTPStatus``
+#: name (400 ``bad_request``, 501 ``not_implemented``), as the service uses.
+_TOKENS = {status.value: status.name.lower() for status in HTTPStatus}
 
 
 class LeanHeaders:
@@ -46,8 +59,8 @@ class LeanHeaders:
         return value.decode("iso-8859-1") if value is not None else default
 
 
-class HeaderLineError(Exception):
-    """A header line the server must refuse, with the HTTP status to answer."""
+class FramingError(Exception):
+    """A request the server must refuse before routing, with the status to answer."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -55,29 +68,87 @@ class HeaderLineError(Exception):
         self.message = message
 
 
-def store_header_line(raw: Dict[bytes, bytes], line: bytes) -> None:
-    """Parse one raw header ``line`` into the lowercased ``raw`` map.
+def store_header_line(raw: Dict[bytes, bytes], line: bytes) -> bool:
+    """Fold one line of a header block into the lowercased ``raw`` map.
 
-    Raises :class:`HeaderLineError` (status 400) on a line without a colon
-    and on *conflicting duplicates* — the same header name arriving twice
-    with different values.  Two ``Content-Length`` headers that disagree are
-    a request-smuggling probe, not a client bug to paper over; refusing every
+    Returns True for the blank line that ends the block.  Raises
+    :class:`FramingError` with 431 past the :data:`MAX_LINE` /
+    :data:`MAX_HEADERS` caps (without them one connection could grow the
+    map without bound), and with 400 on a line without a colon and on
+    *conflicting duplicates* — the same header name arriving twice with
+    different values.  Two ``Content-Length`` headers that disagree are a
+    request-smuggling probe, not a client bug to paper over; refusing every
     conflicting duplicate (not just Content-Length) keeps the rule simple
     and the parser state canonical.  Repeats with the *same* value stay
     accepted, as retrying proxies occasionally produce them harmlessly.
     """
+    if len(line) > MAX_LINE:
+        raise FramingError(431, "Line too long")
+    if line in (b"\r\n", b"\n"):
+        return True
+    if len(raw) >= MAX_HEADERS:
+        raise FramingError(431, "Too many headers")
     name, separator, value = line.partition(b":")
     if not separator:
-        raise HeaderLineError(400, f"Malformed header line {line!r}")
+        raise FramingError(400, f"Malformed header line {line!r}")
     key = name.strip().lower()
     value = value.strip()
     previous = raw.get(key)
     if previous is not None and previous != value:
-        raise HeaderLineError(
+        raise FramingError(
             400,
             f"Conflicting duplicate header {key.decode('iso-8859-1')!r}",
         )
     raw[key] = value
+    return False
+
+
+def body_length(headers) -> int:
+    """The request body's length in bytes, or :class:`FramingError`.
+
+    ``headers`` is any case-insensitive mapping with ``get``.  A request
+    ``Transfer-Encoding`` answers 501: the lean parsers never decode chunked
+    bodies, so dispatching one would read its chunks as the next request —
+    the CL/TE smuggling shape.  A ``Content-Length`` that is not a plain
+    non-negative decimal answers 400 on every method: a negative value would
+    otherwise read "until EOF" and pin the connection.
+    """
+    if headers.get("Transfer-Encoding") is not None:
+        raise FramingError(501, "request Transfer-Encoding is not supported")
+    value = headers.get("Content-Length")
+    if value is None:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise FramingError(400, f"Content-Length {value!r} is not a non-negative integer")
+    return int(value)
+
+
+def render_response(
+    status: int, headers: Iterable[Tuple[str, str]], body: bytes, close: bool
+) -> bytes:
+    """One complete HTTP/1.1 response: status line, headers, framing, body."""
+    head = f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
+    for name, value in headers:
+        head += f"{name}: {value}\r\n"
+    head += f"Content-Length: {len(body)}\r\n"
+    if close:
+        # Tell the client the keep-alive ends here, so it reconnects cleanly
+        # instead of discovering a dead socket on its next request.
+        head += "Connection: close\r\n"
+    return head.encode("iso-8859-1") + b"\r\n" + body
+
+
+def render_refusal(error: FramingError) -> bytes:
+    """The response to a request refused before routing; always closes.
+
+    The JSON body's ``error`` token names the status (400 ``bad_request``,
+    431 ``request_header_fields_too_large``, 501 ``not_implemented``).
+    ``Connection: close`` means a smuggling probe can never leave ambiguous
+    framing on a kept-alive socket.
+    """
+    payload = {"error": _TOKENS.get(error.status, "bad_request"), "message": error.message}
+    body = json.dumps(payload).encode("utf-8")
+    return render_response(error.status, [("Content-Type", "application/json")], body, True)
 
 
 def reachable_url(host, port) -> str:

@@ -111,8 +111,10 @@ def async_graph_server():
     """Factory booting in-process *asyncio* graph servers, torn down per module.
 
     The asyncio twin of :func:`graph_server`: yields
-    ``serve(source, **kwargs) -> AsyncGraphServer`` (``tenants=`` /
-    ``access_log=`` / ``clock=`` pass through).  Teardown closes every server
+    ``serve(source, **kwargs) -> AsyncGraphServer`` (``host=`` / ``port=``
+    pass through), where ``source`` is a ready
+    :class:`~repro.server.GraphService` (tenants, clock, access log) or
+    anything an open service is built over.  Teardown closes every server
     and asserts its event-loop thread and listening socket are gone.
     """
     from repro.server import serve_backend_async
@@ -128,6 +130,28 @@ def async_graph_server():
     for server in servers:
         server.close()
         assert server.closed
+
+
+@pytest.fixture(params=["threaded", "async"])
+def serve_frontend(request):
+    """``serve(source, **service_options)`` on each frontend in turn.
+
+    Parametrizes the requesting test over both I/O adapters of the one
+    :class:`~repro.server.GraphService`; ``tenants=`` / ``clock=`` /
+    ``access_log=`` configure the service.  ``serve.frontend`` names the
+    adapter under test.
+    """
+    from repro.server import GraphService
+
+    factory = request.getfixturevalue(
+        "graph_server" if request.param == "threaded" else "async_graph_server"
+    )
+
+    def serve(source, **service_options):
+        return factory(GraphService(source, **service_options))
+
+    serve.frontend = request.param
+    return serve
 
 
 @pytest.fixture(autouse=True, scope="session")

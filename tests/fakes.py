@@ -27,6 +27,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.api.backend import GraphBackend, RawRecord
 from repro.server import GraphRequestHandler
+from repro.obs import SPAN_ECHO_HEADER, TRACE_HEADER, format_span_echo, new_span_id, parse_trace_header
+from repro.server.wire import render_response
 from repro.types import NodeId
 
 #: Fault tokens understood by :class:`FlakyHTTPHandler`.
@@ -94,23 +96,27 @@ class FlakyHTTPHandler(GraphRequestHandler):
     request order).  An empty or exhausted plan serves normally.
     """
 
+    JSON = [("Content-Type", "application/json")]
+
     def inject_fault(self) -> bool:
         plan = getattr(self.server, "fault_plan", None)
         fault = plan.popleft() if plan else None
         if fault is None:
             return False
         if fault == FAULT_500:
-            self._send_json(
-                500, {"error": "server_error", "message": "injected fault"}
-            )
+            # Like a real server error, the injected 500 echoes the caller's
+            # trace context so the client's retry spans stay correlated.
+            headers = list(self.JSON)
+            trace_ctx = parse_trace_header(self.headers.get(TRACE_HEADER))
+            if trace_ctx is not None:
+                echo = format_span_echo(trace_ctx[0], new_span_id(), trace_ctx[1], 0.0, "server/fault")
+                headers.append((SPAN_ECHO_HEADER, echo))
+            body = b'{"error": "server_error", "message": "injected fault"}'
+            self.wfile.write(render_response(500, headers, body, False))
             return True
         if fault == FAULT_GARBAGE:
             body = b"<html>this is not JSON</html>"
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(render_response(200, self.JSON, body, False))
             return True
         if fault == FAULT_CLOSE:
             # Drop the connection without a response: the client sees the

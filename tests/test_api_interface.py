@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import GraphAPI, InstrumentedAPI, QueryBudget, TraceLayer
+from repro.api import GraphAPI, QueryBudget, TraceLayer
 from repro.api.ratelimit import FixedWindowPolicy, SimulatedClock
 from repro.exceptions import NodeNotFoundError, QueryBudgetExceededError
 
@@ -120,94 +120,26 @@ class TestRandomNode:
         assert api.random_node(seed=3) == api.random_node(seed=3)
 
 
-class TestInstrumentedAPIDeprecationShim:
-    """Lock the deprecated alias so it cannot silently rot.
-
-    ``InstrumentedAPI`` must stay a warning-on-construction subclass of
-    :class:`~repro.api.middleware.TraceLayer` that survives copy/pickle (the
-    code paths that bypass ``__init__``) until the alias is removed.
-    """
-
-    def test_construction_warns_exactly_once_and_names_replacement(self, api):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            instrumented = InstrumentedAPI(api)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "InstrumentedAPI" in message and "TraceLayer" in message
-        # The warning must point at the caller, not the shim module.
-        assert deprecations[0].filename == __file__
-        assert isinstance(instrumented, TraceLayer)
-
-    def test_alias_shares_trace_machinery_with_trace_layer(self, api):
-        import warnings
-
-        from repro.api import QueryTrace
-        from repro.api.instrumented import QueryRecord as aliased_record
-        from repro.api.middleware import QueryRecord
-
-        assert aliased_record is QueryRecord
-        trace = QueryTrace()
-        with pytest.warns(DeprecationWarning):
-            instrumented = InstrumentedAPI(api, trace=trace)
-        instrumented.query(0)
-        assert instrumented.trace is trace
-        assert [record.node for record in trace.records] == [0]
-
-    def test_pickle_roundtrip_preserves_state_without_rewarning(self, api):
-        import pickle
-        import warnings
-
-        with pytest.warns(DeprecationWarning):
-            instrumented = InstrumentedAPI(api)
-        instrumented.query(0)
-        instrumented.query(0)
-        with warnings.catch_warnings():
-            # Unpickling bypasses __init__, so restoring a stored crawl must
-            # neither warn again nor hit the delegation guard.
-            warnings.simplefilter("error", DeprecationWarning)
-            restored = pickle.loads(pickle.dumps(instrumented))
-        assert type(restored) is InstrumentedAPI
-        assert restored.trace.queried_nodes == [0, 0]
-        assert restored.trace.fresh_nodes == [0]
-        assert restored.unique_queries == 1
-        assert restored.total_queries == 2
-
-    def test_copy_does_not_rewarn(self, api):
-        import copy
-        import warnings
-
-        with pytest.warns(DeprecationWarning):
-            instrumented = InstrumentedAPI(api)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            clone = copy.copy(instrumented)
-        assert clone.inner is api
-
-
-class TestInstrumentedAPI:
+class TestTraceLayer:
     def test_trace_records_fresh_and_cached(self, api):
-        instrumented = InstrumentedAPI(api)
-        instrumented.query(0)
-        instrumented.query(0)
-        instrumented.query(1)
-        assert len(instrumented.trace) == 3
-        assert instrumented.trace.fresh_nodes == [0, 1]
-        assert instrumented.trace.frequency()[0] == 2
-        assert instrumented.unique_queries == 2
-        assert instrumented.total_queries == 3
+        traced = TraceLayer(api)
+        traced.query(0)
+        traced.query(0)
+        traced.query(1)
+        assert len(traced.trace) == 3
+        assert traced.trace.fresh_nodes == [0, 1]
+        assert traced.trace.frequency()[0] == 2
+        assert traced.unique_queries == 2
+        assert traced.total_queries == 3
 
     def test_delegates_extra_attributes(self, api):
-        instrumented = InstrumentedAPI(api)
-        assert instrumented.graph is api.graph
-        assert instrumented.peek_metadata(0) is not None
+        traced = TraceLayer(api)
+        assert traced.graph is api.graph
+        assert traced.peek_metadata(0) is not None
 
     def test_reset_clears_trace(self, api):
-        instrumented = InstrumentedAPI(api)
-        instrumented.query(0)
-        instrumented.reset_counters()
-        assert len(instrumented.trace) == 0
-        assert instrumented.unique_queries == 0
+        traced = TraceLayer(api)
+        traced.query(0)
+        traced.reset_counters()
+        assert len(traced.trace) == 0
+        assert traced.unique_queries == 0

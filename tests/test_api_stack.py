@@ -21,7 +21,6 @@ from repro.api import (
     CacheLayer,
     GraphAPI,
     InMemoryBackend,
-    InstrumentedAPI,
     QueryBudget,
     RateLimitLayer,
     ShuffleLayer,
@@ -541,13 +540,6 @@ class TestLayerDelegation:
         restored = pickle.loads(pickle.dumps(layer))
         assert restored.trace.queried_nodes == [0]
         assert restored.unique_queries == 1
-
-    def test_instrumented_api_is_deprecated_trace_layer(self, api):
-        with pytest.warns(DeprecationWarning):
-            instrumented = InstrumentedAPI(api)
-        assert isinstance(instrumented, TraceLayer)
-        instrumented.query(0)
-        assert instrumented.trace.fresh_nodes == [0]
 
     def test_manual_stack_composition(self, attributed_graph):
         """Layers compose by hand without the builder."""

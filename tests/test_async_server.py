@@ -1,23 +1,28 @@
-"""Behavioural suite for the asyncio multi-tenant graph service.
+"""Behavioural suite for the multi-tenant graph service on both frontends.
 
-The conformance matrix already proves the async frontend + async client pair
-is bit-identical to every other backend; this file covers what is *new* in
-the tier: tenants-file validation, API-key auth, server-side budget and
+The conformance matrix already proves both frontends bit-identical to every
+other backend; this file covers the service's policy surface, each test run
+against the threaded and the asyncio adapter (the ``serve_frontend``
+fixture): tenants-file validation, API-key auth, server-side budget and
 rate-limit enforcement with typed 429 round trips, the ``POST /walk``
 endpoint (one round trip, fingerprint-verified against a client-driven
-walk), the ``GET /stats`` usage surface, JSONL access logs, and the server
-lifecycle.
+walk), the ``GET /stats`` usage surface and JSONL access logs.  The sans-IO
+:class:`GraphService` is also driven directly, with no socket, and the
+asyncio server's lifecycle is pinned last.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
-from repro.api import AsyncHTTPGraphBackend, HTTPGraphBackend, build_api
+from repro.api import HTTPGraphBackend, build_api
 from repro.api.backend import InMemoryBackend
 from repro.api.ratelimit import SimulatedClock
+from repro.api.remote import encode_node_id
 from repro.exceptions import (
     NodeNotFoundError,
     QueryBudgetExceededError,
@@ -27,8 +32,15 @@ from repro.exceptions import (
     TenantConfigError,
 )
 from repro.graphs import load_dataset
-from repro.server import AsyncGraphServer, TenantRegistry, WallClock, load_tenants
+from repro.server import (
+    AsyncGraphServer,
+    GraphService,
+    TenantRegistry,
+    WallClock,
+    load_tenants,
+)
 from repro.server.tenants import parse_tenants
+from repro.server.wire import LeanHeaders
 from repro.walks import make_walker
 
 GOLDEN_SEED = 7
@@ -120,8 +132,8 @@ class TestTenantEnforcement:
         return SimulatedClock()
 
     @pytest.fixture()
-    def server(self, backend, async_graph_server, clock):
-        return async_graph_server(
+    def server(self, backend, serve_frontend, clock):
+        return serve_frontend(
             backend,
             tenants=tenants_doc(
                 alice_key={"name": "alice", "budget": 5},
@@ -133,9 +145,9 @@ class TestTenantEnforcement:
 
     def test_missing_and_unknown_keys_answer_401(self, server):
         for client in (
-            AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0),
-            AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                  api_key="wrong"),
+            HTTPGraphBackend(server.url, timeout=5.0, retries=0),
+            HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                             api_key="wrong"),
         ):
             with client:
                 with pytest.raises(RemoteBackendError) as excinfo:
@@ -144,8 +156,8 @@ class TestTenantEnforcement:
 
     def test_budget_bills_unique_nodes_only(self, server, backend):
         ids = backend.node_ids()
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="alice_key") as alice:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="alice_key") as alice:
             for node in ids[:5]:
                 alice.fetch(node)
             # Revisits are free, exactly like the paper's unique-query cost.
@@ -163,8 +175,8 @@ class TestTenantEnforcement:
 
     def test_batch_that_cannot_fit_bills_nothing(self, server, backend):
         ids = backend.node_ids()
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="alice_key") as alice:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="alice_key") as alice:
             with pytest.raises(QueryBudgetExceededError):
                 alice.fetch_many(ids[:7])  # 7 fresh > budget 5, refused whole
             stats = alice._request("GET", "/stats")["tenants"]["alice"]
@@ -173,8 +185,8 @@ class TestTenantEnforcement:
 
     def test_rate_limit_answers_typed_429(self, server, backend, clock):
         ids = backend.node_ids()
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="bob_key") as bob:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="bob_key") as bob:
             bob.fetch(ids[0])
             bob.fetch(ids[1])
             with pytest.raises(RateLimitExceededError) as excinfo:
@@ -194,15 +206,15 @@ class TestTenantEnforcement:
 # POST /walk: whole walks in one round trip
 # ----------------------------------------------------------------------
 class TestServerSideWalks:
-    @pytest.fixture(scope="class")
-    def server(self, backend, async_graph_server):
-        return async_graph_server(backend)
+    @pytest.fixture()
+    def server(self, backend, serve_frontend):
+        return serve_frontend(backend)
 
     def test_remote_walk_matches_client_driven_walk(
         self, server, backend, conformance_graph
     ):
         start = conformance_graph.nodes()[0]
-        with AsyncHTTPGraphBackend(server.url, timeout=10.0) as client:
+        with HTTPGraphBackend(server.url, timeout=10.0) as client:
             payload = client.remote_walk(
                 "srw", start, seed=GOLDEN_SEED, budget=GOLDEN_BUDGET
             )
@@ -218,15 +230,15 @@ class TestServerSideWalks:
 
     def test_walk_collapses_round_trips(self, server, conformance_graph):
         start = conformance_graph.nodes()[0]
-        server.reset_stats()
-        with AsyncHTTPGraphBackend(server.url, timeout=10.0) as client:
+        server.service.reset_stats()
+        with HTTPGraphBackend(server.url, timeout=10.0) as client:
             client.remote_walk("srw", start, seed=GOLDEN_SEED,
                                budget=GOLDEN_BUDGET)
-        assert server.endpoint_counts["/walk"] == 1
-        assert server.endpoint_counts.get("/node", 0) == 0
+        assert server.service.endpoint_counts["/walk"] == 1
+        assert server.service.endpoint_counts.get("/node", 0) == 0
 
     def test_walk_validates_kernel_start_and_shape(self, server):
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0) as client:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0) as client:
             with pytest.raises(RemoteBackendError) as excinfo:
                 client.remote_walk("no-such-kernel", 0, budget=5)
             assert excinfo.value.status == 400
@@ -239,21 +251,23 @@ class TestServerSideWalks:
                 client.remote_walk("srw", "missing-node", budget=5)
             assert node_info.value.node == "missing-node"
 
-    def test_threaded_server_has_no_walk_endpoint(self, backend, graph_server):
+    def test_threaded_server_serves_walks(self, backend, graph_server, conformance_graph):
         threaded = graph_server(backend)
-        with HTTPGraphBackend(threaded.url, timeout=5.0, retries=0) as client:
-            with pytest.raises(RemoteBackendError, match="not an endpoint"):
-                client.remote_walk("srw", 0, budget=5)
+        start = conformance_graph.nodes()[0]
+        with HTTPGraphBackend(threaded.url, timeout=10.0, retries=0) as client:
+            payload = client.remote_walk("srw", start, seed=GOLDEN_SEED, budget=GOLDEN_BUDGET)
+        assert payload["unique_queries"] == GOLDEN_BUDGET
+        assert threaded.service.endpoint_counts["/walk"] == 1
 
     def test_walk_bills_the_tenant_and_respects_its_budget(
-        self, backend, async_graph_server, conformance_graph
+        self, backend, serve_frontend, conformance_graph
     ):
-        server = async_graph_server(
+        server = serve_frontend(
             backend, tenants=tenants_doc(key={"name": "carol", "budget": 70})
         )
         start = conformance_graph.nodes()[0]
-        with AsyncHTTPGraphBackend(server.url, timeout=10.0, retries=0,
-                                   api_key="key") as carol:
+        with HTTPGraphBackend(server.url, timeout=10.0, retries=0,
+                              api_key="key") as carol:
             first = carol.remote_walk("srw", start, seed=GOLDEN_SEED,
                                       budget=GOLDEN_BUDGET)
             assert first["unique_queries"] == GOLDEN_BUDGET
@@ -276,16 +290,16 @@ class TestServerSideWalks:
 # GET /stats and the access log
 # ----------------------------------------------------------------------
 class TestObservability:
-    def test_stats_shape_and_server_totals(self, backend, async_graph_server):
-        server = async_graph_server(backend)
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0) as client:
-            server.reset_stats()
+    def test_stats_shape_and_server_totals(self, backend, serve_frontend):
+        server = serve_frontend(backend)
+        with HTTPGraphBackend(server.url, timeout=5.0) as client:
+            server.service.reset_stats()
             node = client.node_ids()[0]
             client.fetch(node)
             stats = client._request("GET", "/stats")
         assert stats["format"] == "repro-graph-http"
         assert stats["version"] == 1
-        assert stats["server"] == "async"
+        assert stats["server"] == serve_frontend.frontend
         assert stats["endpoints"]["/node"] == 1
         assert stats["nodes_served"] == 1
         assert set(stats["tenants"]) == {"public"}
@@ -293,19 +307,19 @@ class TestObservability:
         assert public["budget"] is None and public["rate_limit"] is None
 
     def test_access_log_is_one_json_line_per_request(
-        self, backend, async_graph_server, tmp_path
+        self, backend, serve_frontend, tmp_path
     ):
         log_path = tmp_path / "access.jsonl"
-        server = async_graph_server(
+        server = serve_frontend(
             backend,
             tenants=tenants_doc(key={"name": "dora"}),
             access_log=log_path,
         )
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="key") as client:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="key") as client:
             node = client.node_ids()[0]
             client.fetch(node)
-        bad = AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0)
+        bad = HTTPGraphBackend(server.url, timeout=5.0, retries=0)
         with pytest.raises(RemoteBackendError):
             bad.info()
         bad.close()
@@ -323,6 +337,108 @@ class TestObservability:
 
 
 # ----------------------------------------------------------------------
+# The sans-IO core, driven without a socket
+# ----------------------------------------------------------------------
+def _headers(**values):
+    return LeanHeaders({
+        name.replace("_", "-").lower().encode(): value.encode()
+        for name, value in values.items()
+    })
+
+
+class TestGraphServiceSansIO:
+    def test_handle_answers_without_a_socket(self, backend):
+        service = GraphService(backend, tenants=tenants_doc(key={"name": "fay", "budget": 1}))
+        ids = backend.node_ids()
+        keyed = _headers(x_api_key="key")
+        status, headers, body, close = service.handle(
+            "GET", "/node/" + encode_node_id(ids[0]), keyed
+        )
+        assert (status, close) == (200, False)
+        assert headers == [("Content-Type", "application/json")]
+        assert json.loads(body)["node"] == ids[0]
+        status, _, body, _ = service.handle("GET", "/node/" + encode_node_id(ids[1]), keyed)
+        assert (status, json.loads(body)["error"]) == (429, "budget_exhausted")
+        assert service.handle("GET", "/info", _headers())[0] == 401
+        assert service.handle("PUT", "/info", keyed)[0] == 501
+        assert service.handle("GET", "/info", _headers(x_api_key="key", connection="close"))[3]
+        assert service.endpoint_counts == {"/node": 2, "/info": 3}
+        assert service.nodes_served == 1
+        service.close()
+
+    def test_in_flight_requests_bill_a_fresh_node_once(self, backend):
+        """Two requests for one fresh node whose fetches overlap: the first
+        reservation bills it, the second finds it billed (free)."""
+        both_in_flight = threading.Barrier(2, timeout=10)
+
+        class OverlappingBackend(InMemoryBackend):
+            def fetch_many(self, nodes):
+                both_in_flight.wait()
+                return super().fetch_many(nodes)
+
+        service = GraphService(
+            OverlappingBackend(backend.graph),
+            tenants=tenants_doc(key={"name": "hal", "budget": 5}),
+        )
+        body = json.dumps({"nodes": [backend.node_ids()[0]]}).encode()
+        statuses: list = []
+        workers = [
+            threading.Thread(target=lambda: statuses.append(
+                service.handle("POST", "/nodes", _headers(x_api_key="key"), body)[0]))
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+        assert statuses == [200, 200]
+        assert service.stats_payload()["tenants"]["hal"]["budget"]["spent"] == 1
+        service.close()
+
+    def test_concurrent_billing_never_loses_or_overspends(self, backend):
+        """Threads racing one budgeted tenant (fresh, repeated and missing
+        nodes): every distinct node served is billed exactly once, and the
+        per-endpoint counts lose no request."""
+        limit, threads, requests = 40, 8, 60
+        service = GraphService(backend, tenants=tenants_doc(key={"name": "gus", "budget": limit}))
+        ids = backend.node_ids()[:70]
+        keyed = _headers(x_api_key="key")
+        served: list = []
+        errors: list = []
+
+        def client(seed):
+            try:
+                for i in range(requests):
+                    batch = [ids[(seed * 31 + i * 7 + k) % len(ids)] for k in range(3)]
+                    if i % 5 == 0:
+                        batch.append("missing-node")  # 404s the batch: refund
+                    body = json.dumps({"nodes": batch}).encode()
+                    status, _, payload, _ = service.handle("POST", "/nodes", keyed, body)
+                    if status == 200:
+                        served.extend(r["node"] for r in json.loads(payload)["records"])
+            except Exception as error:  # pragma: no cover - diagnostics only
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=client, args=(s,)) for s in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors
+        stats = service.stats_payload()["tenants"]["gus"]
+        assert stats["budget"]["spent"] == stats["unique_nodes"] == len(set(served))
+        assert stats["budget"]["spent"] <= limit
+        assert service.endpoint_counts["/nodes"] == threads * requests
+        service.close()
+
+
+# ----------------------------------------------------------------------
 # Lifecycle
 # ----------------------------------------------------------------------
 class TestLifecycle:
@@ -337,7 +453,7 @@ class TestLifecycle:
 
     def test_context_manager_starts_and_closes(self, backend):
         with AsyncGraphServer(backend) as server:
-            with AsyncHTTPGraphBackend(server.url, timeout=5.0) as client:
+            with HTTPGraphBackend(server.url, timeout=5.0) as client:
                 assert client.info()["server"] == "async"
         assert server.closed
 
@@ -354,7 +470,7 @@ class TestLifecycle:
 
     def test_close_with_open_keepalive_connection_does_not_hang(self, backend):
         server = AsyncGraphServer(backend).start()
-        client = AsyncHTTPGraphBackend(server.url, timeout=5.0)
+        client = HTTPGraphBackend(server.url, timeout=5.0)
         assert client.info()["nodes"] == len(backend)
         # The client's keep-alive socket is still open; close() must force it
         # shut rather than wait for the peer.

@@ -2,7 +2,8 @@
 
 One suite, parametrized over all shipped backends — InMemory, CSR,
 memory-mapped CSR snapshot, crawl-dump replay, the remote
-``HTTPGraphBackend`` driving a live in-process server, the
+``HTTPGraphBackend`` driving a live in-process server (once per frontend:
+threaded and asyncio), the
 ``ShardedBackend`` driving *three* live in-process shard servers through a
 consistent-hash ring (once unreplicated, once with replication factor 2),
 and the SQLite-served ``WarehouseBackend`` over an ingested full dump — asserting that they are *indistinguishable* through
@@ -11,7 +12,7 @@ identical golden walk fingerprints for every transition kernel under fixed
 seeds, identical ``QueryStats`` accounting through the full middleware
 stack, and loss-free snapshot / dump round trips.
 
-Any future backend (async, tiered) must be added to ``BACKEND_KINDS`` and
+Any future backend (a tiered store, say) must be added to ``BACKEND_KINDS`` and
 pass unchanged: the paper's cost model and every seeded experiment depend on
 storage being invisible above the backend protocol.  The ``http`` entry is
 the proof for the client/server split, and the ``sharded`` entry for the
@@ -28,7 +29,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import (
-    AsyncHTTPGraphBackend,
     CSRBackend,
     GraphBackend,
     HTTPGraphBackend,
@@ -205,9 +205,9 @@ def backend(
     elif kind == "http":
         made = HTTPGraphBackend(http_server.url, timeout=10.0)
     elif kind == "async":
-        # The asyncio client against the asyncio multi-tenant server: both
-        # halves of the PR-9 frontend must be invisible above the protocol.
-        made = AsyncHTTPGraphBackend(async_http_server.url, timeout=10.0)
+        # The one client against the asyncio adapter: which frontend frames
+        # the service must be invisible above the protocol.
+        made = HTTPGraphBackend(async_http_server.url, timeout=10.0)
     elif kind == "warehouse":
         from repro.warehouse import WarehouseBackend
 

@@ -295,8 +295,8 @@ class TestLiveCluster:
         from fakes import FlakyBackend
 
         doomed = shard_servers[1]
-        doomed.graph_backend = FlakyBackend(
-            doomed.graph_backend,
+        doomed.service.graph_backend = FlakyBackend(
+            doomed.service.graph_backend,
             plan=[None, None] + [RuntimeError("storage tier died")] * 1000,
         )
         manifest = json.loads((cluster_dir / "cluster.json").read_text())
@@ -681,8 +681,8 @@ class TestFailover:
         assert healthy == local
 
         doomed = replicated_servers[1]
-        doomed.graph_backend = FlakyBackend(
-            doomed.graph_backend,
+        doomed.service.graph_backend = FlakyBackend(
+            doomed.service.graph_backend,
             plan=[None, None] + [RuntimeError("storage tier died")] * 1000,
         )
         with self._cluster(

@@ -130,6 +130,10 @@ class TestQueries:
         triangle_graph.set_attribute_for_all("score", {0: 1.0, 1: 2.0, 2: 3.0})
         assert triangle_graph.attribute(1, "score") == 2.0
 
+    def test_attribute_may_be_named_node(self, triangle_graph):
+        triangle_graph.set_attributes(1, node="x")
+        assert triangle_graph.attribute(1, "node") == "x"
+
     def test_set_attributes_missing_node(self, triangle_graph):
         with pytest.raises(NodeNotFoundError):
             triangle_graph.set_attributes(10, x=1)

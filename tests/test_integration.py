@@ -15,7 +15,7 @@ from repro import (
     make_walker,
     relative_error,
 )
-from repro.api import InstrumentedAPI, twitter_policy
+from repro.api import TraceLayer, twitter_policy
 from repro.api.ratelimit import SimulatedClock
 from repro.experiments import (
     WalkerSpec,
@@ -57,9 +57,9 @@ class TestCrawlSimulation:
         # 40 unique queries at 15 per 15 minutes needs at least one full window.
         assert clock.now >= 15 * 60
 
-    def test_instrumented_api_tracks_walker_queries(self):
+    def test_trace_layer_tracks_walker_queries(self):
         graph = load_dataset("facebook_like", seed=3, scale=0.1)
-        api = InstrumentedAPI(GraphAPI(graph, budget=QueryBudget(30)))
+        api = TraceLayer(GraphAPI(graph, budget=QueryBudget(30)))
         walker = make_walker("gnrw_by_degree", api=api, seed=3)
         result = walker.run(graph.nodes()[0], max_steps=None)
         assert len(api.trace) >= result.unique_queries

@@ -41,6 +41,7 @@ from repro.obs import (
     parse_trace_header,
     render_trace_tree,
 )
+from repro.server import GraphService
 
 from fakes import FlakyBackend, FlakyHTTPHandler
 
@@ -386,7 +387,7 @@ class TestMetricsEndpoint:
         with HTTPGraphBackend(server.url, timeout=5.0) as client:
             client.fetch(node)
             client.info()
-        values, types = parse_prometheus(server.metrics.render_prometheus())
+        values, types = parse_prometheus(server.service.metrics.render_prometheus())
         assert types["repro_server_requests_total"] == "counter"
         assert values['repro_server_requests_total{endpoint="/node",status="200"}'] == 1
         assert values['repro_server_request_ms_count{endpoint="/node"}'] == 1
@@ -395,11 +396,9 @@ class TestMetricsEndpoint:
     def test_async_metrics_parse_and_count(self, obs_backend, async_graph_server):
         import urllib.request
 
-        from repro.api import AsyncHTTPGraphBackend
-
         server = async_graph_server(obs_backend)
         node = obs_backend.node_ids()[0]
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0) as client:
+        with HTTPGraphBackend(server.url, timeout=5.0) as client:
             client.fetch(node)
         scrape = urllib.request.urlopen(
             server.url + "/metrics", timeout=5.0).read().decode()
@@ -434,7 +433,7 @@ class TestMetricsEndpoint:
         import urllib.request
 
         server = async_graph_server(
-            obs_backend, tenants=tenants_doc(key={"name": "erin"})
+            GraphService(obs_backend, tenants=tenants_doc(key={"name": "erin"}))
         )
         node = obs_backend.node_ids()[0]
         with HTTPGraphBackend(server.url, timeout=5.0,
@@ -467,13 +466,13 @@ class TestMetricsEndpoint:
             try:
                 for _ in range(20):
                     client.fetch(node)
-                    server.reset_stats()
+                    server.service.reset_stats()
             finally:
                 stop.set()
                 for thread in threads:
                     thread.join()
             assert not torn
-            server.reset_stats()
+            server.service.reset_stats()
             stats = client._request("GET", "/stats")
         # Only the /stats request itself may have been counted post-reset.
         assert set(stats["endpoints"]) <= {"/stats"}
@@ -485,7 +484,7 @@ class TestMetricsEndpoint:
         server = graph_server(obs_backend)
         with HTTPGraphBackend(server.url, timeout=5.0) as client:
             client.fetch(obs_backend.node_ids()[0])
-            server.reset_stats()
+            server.service.reset_stats()
             stats = client._request("GET", "/stats")
             # Only the /stats request itself has been counted since the reset.
             assert set(stats["endpoints"]) <= {"/stats"}
@@ -500,7 +499,7 @@ class TestAccessLog:
         self, obs_backend, async_graph_server, tmp_path
     ):
         log_path = tmp_path / "access.jsonl"
-        server = async_graph_server(obs_backend, access_log=log_path)
+        server = async_graph_server(GraphService(obs_backend, access_log=log_path))
         node = obs_backend.node_ids()[0]
         tracer = Tracer()
         with HTTPGraphBackend(server.url, timeout=5.0) as client:

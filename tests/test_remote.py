@@ -154,18 +154,18 @@ class TestClientBasics:
             with pytest.raises(RemoteBackendError, match="endpoint"):
                 client.fetch(0)
         assert sleep.delays == []
-        assert server.endpoint_counts["/no-such-prefix"] == 1
+        assert server.service.endpoint_counts["/no-such-prefix"] == 1
 
     def test_node_miss_is_not_retried(self, graph_server, local_backend):
         server = graph_server(local_backend)
-        server.reset_stats()
+        server.service.reset_stats()
         sleep = RecordingSleep()
         with HTTPGraphBackend(server.url, sleep=sleep) as client:
             with pytest.raises(NodeNotFoundError) as excinfo:
                 client.fetch("no-such-node")
         assert excinfo.value.node == "no-such-node"
         assert sleep.delays == []
-        assert server.endpoint_counts["/node"] == 1
+        assert server.service.endpoint_counts["/node"] == 1
 
     def test_replay_server_info_carries_recorded_start(
         self, graph_server, local_backend, tmp_path
@@ -240,7 +240,7 @@ class TestFaultInjection:
             assert client.fetch(node) == local_backend.fetch(node)
         # Exponential and deterministic: base, then double.
         assert sleep.delays == [0.05, 0.1]
-        assert server.endpoint_counts["/node"] == 3
+        assert server.service.endpoint_counts["/node"] == 3
 
     def test_retries_exhausted_raises_typed_error(self, graph_server, local_backend):
         sleep = RecordingSleep()
@@ -253,7 +253,7 @@ class TestFaultInjection:
         assert excinfo.value.attempts == 3
         assert "HTTP 500" in str(excinfo.value)
         assert sleep.delays == [0.05, 0.1]
-        assert server.endpoint_counts["/node"] == 3
+        assert server.service.endpoint_counts["/node"] == 3
 
     def test_malformed_json_body_retried(self, graph_server, local_backend):
         server, client = self._flaky(
@@ -332,7 +332,7 @@ class TestFaultInjection:
         nodes = local_backend.node_ids()[:6]
         with client:
             assert client.fetch_many(nodes) == local_backend.fetch_many(nodes)
-        assert server.endpoint_counts["/nodes"] == 3
+        assert server.service.endpoint_counts["/nodes"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -345,21 +345,21 @@ class TestMiddlewareOverRemote:
         """A revisit-heavy CNRW walk hits the network exactly once per unique
         node: every revisit is served by the client-side cache layer."""
         server = graph_server(local_backend)
-        server.reset_stats()
+        server.service.reset_stats()
         with HTTPGraphBackend(server.url) as client:
             api = build_api(client, budget=40)
             result = make_walker("cnrw", api=api, seed=7).run(
                 remote_graph.nodes()[0], max_steps=None
             )
         assert api.total_queries > api.unique_queries  # CNRW revisits a lot
-        assert server.endpoint_counts["/node"] == api.unique_queries
-        assert server.nodes_served == api.unique_queries
+        assert server.service.endpoint_counts["/node"] == api.unique_queries
+        assert server.service.nodes_served == api.unique_queries
 
     def test_scheduler_ensemble_batches_limit_network_to_unique_nodes(
         self, graph_server, remote_graph, local_backend
     ):
         server = graph_server(local_backend)
-        server.reset_stats()
+        server.service.reset_stats()
         with HTTPGraphBackend(server.url) as client:
             api = build_api(client, budget=200)
             walkers = [make_walker("cnrw", api=api, seed=seed) for seed in (1, 2, 3, 4)]
@@ -367,8 +367,8 @@ class TestMiddlewareOverRemote:
             WalkScheduler(api).run(walkers, starts, steps=30)
         # The frontier travels as POST /nodes batches; dedup + cache keep the
         # record traffic at exactly the billable unique fetches.
-        assert server.endpoint_counts["/node"] == 0
-        assert server.nodes_served == api.unique_queries
+        assert server.service.endpoint_counts["/node"] == 0
+        assert server.service.nodes_served == api.unique_queries
 
     def test_metadata_peeks_hit_the_network_once_per_node(
         self, graph_server, remote_graph, local_backend
@@ -377,18 +377,18 @@ class TestMiddlewareOverRemote:
         be free on revisit — MHRW re-checks neighbor degrees every step, and
         the client's metadata cache absorbs all but the first look."""
         server = graph_server(local_backend)
-        server.reset_stats()
+        server.service.reset_stats()
         with HTTPGraphBackend(server.url) as client:
             node = remote_graph.nodes()[0]
             for _ in range(5):
                 assert client.metadata(node) == local_backend.metadata(node)
                 assert client.contains(node)
-            assert server.endpoint_counts["/meta"] == 1
+            assert server.service.endpoint_counts["/meta"] == 1
             # A remote MHRW walk peeks hundreds of times; the wire sees each
             # distinct node at most once.
             api = build_api(client, budget=30)
             make_walker("mhrw", api=api, seed=7).run(node, max_steps=None)
-            assert server.endpoint_counts["/meta"] <= len(local_backend)
+            assert server.service.endpoint_counts["/meta"] <= len(local_backend)
 
     def test_budget_exhaustion_mid_retry_never_double_bills(
         self, graph_server, local_backend
@@ -409,14 +409,14 @@ class TestMiddlewareOverRemote:
             assert api.unique_queries == 3
             assert api.total_queries == 4  # 3 billed + the rejected attempt
             assert sleep.delays == [0.01]  # exactly one retry happened
-            assert server.nodes_served == 3  # the 500'd request served nothing
-            assert server.endpoint_counts["/node"] == 4  # 3 successes + 1 fault
+            assert server.service.nodes_served == 3  # the 500'd request served nothing
+            assert server.service.endpoint_counts["/node"] == 4  # 3 successes + 1 fault
             # The three fetched views were cached on the way out: re-reading
             # them is free and does not touch the exhausted budget.
             for node in nodes[:3]:
                 assert api.query(node).node == node
             assert api.unique_queries == 3
-            assert server.endpoint_counts["/node"] == 4
+            assert server.service.endpoint_counts["/node"] == 4
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Fault-injection regressions for the four PR-9 wire bugfixes.
+"""Socket-level regressions for the wire's framing rules.
 
 Each test class pins one fix by reproducing the pre-fix failure mode at the
-socket level, against *both* server frontends where the bug lived in shared
-code:
+socket level, against *both* server frontends (framing is shared through
+:mod:`repro.server.wire`):
 
 1. **EOF mid-headers** — a half-sent request (client shut its write side
    before the blank line) used to parse as a complete header block and get
@@ -17,19 +17,28 @@ code:
 4. **Oversized status line** — the lean client capped header lines but let
    ``readline`` silently truncate a 64 KiB+ *status* line, misparsing the
    remainder as headers; now it refuses with ``oversized status line``.
+5. **Request Transfer-Encoding** — a chunked body used to be ignored, so a
+   request smuggled inside it was dispatched as the next one on the
+   connection; now any request ``Transfer-Encoding`` answers 501 + close.
+6. **One framing rule** — a negative or non-integer ``Content-Length``
+   answers 400 + close on every method and both frontends, and an
+   unsupported method answers 501 on both.  Every refusal is a JSON body
+   whose ``error`` token names its status.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 from collections import deque
 
 import pytest
 
 from fakes import FAULT_LONG_STATUS, FlakyHTTPHandler
-from repro.api import AsyncHTTPGraphBackend, HTTPGraphBackend, InMemoryBackend
+from repro.api import HTTPGraphBackend, InMemoryBackend
 from repro.exceptions import RemoteBackendError
 from repro.graphs import complete_graph
+from repro.server import serve_backend, serve_backend_async
 from repro.server.wire import reachable_url
 
 
@@ -75,22 +84,22 @@ class TestHalfSentRequest:
         self, frontend, threaded_server, async_server
     ):
         server = threaded_server if frontend == "threaded" else async_server
-        server.reset_stats()
+        server.service.reset_stats()
         answer = _raw_exchange(server, self.HALF_REQUEST, shut_wr=True)
         # Pre-fix the EOF parsed like the end-of-headers blank line: the
         # request was dispatched and a full /info response came back.
         assert answer == b""
-        assert sum(server.endpoint_counts.values()) == 0
+        assert sum(server.service.endpoint_counts.values()) == 0
 
     @pytest.mark.parametrize("frontend", ["threaded", "async"])
     def test_immediate_disconnect_is_silent_too(
         self, frontend, threaded_server, async_server
     ):
         server = threaded_server if frontend == "threaded" else async_server
-        server.reset_stats()
+        server.service.reset_stats()
         answer = _raw_exchange(server, b"", shut_wr=True)
         assert answer == b""
-        assert sum(server.endpoint_counts.values()) == 0
+        assert sum(server.service.endpoint_counts.values()) == 0
 
 
 # ----------------------------------------------------------------------
@@ -199,13 +208,10 @@ class TestOversizedStatusLine:
         server.fault_plan = deque()
         return server
 
-    @pytest.mark.parametrize("client_class", [HTTPGraphBackend, AsyncHTTPGraphBackend])
-    def test_oversized_status_line_raises_typed_wire_error(
-        self, flaky_server, client_class
-    ):
+    def test_oversized_status_line_raises_typed_wire_error(self, flaky_server):
         flaky_server.fault_plan.clear()
         flaky_server.fault_plan.append(FAULT_LONG_STATUS)
-        client = client_class(flaky_server.url, timeout=5.0, retries=0)
+        client = HTTPGraphBackend(flaky_server.url, timeout=5.0, retries=0)
         try:
             with pytest.raises(RemoteBackendError) as excinfo:
                 client.fetch(0)
@@ -216,13 +222,10 @@ class TestOversizedStatusLine:
         finally:
             client.close()
 
-    @pytest.mark.parametrize("client_class", [HTTPGraphBackend, AsyncHTTPGraphBackend])
-    def test_client_recovers_on_retry_after_oversized_status(
-        self, flaky_server, client_class
-    ):
+    def test_client_recovers_on_retry_after_oversized_status(self, flaky_server):
         flaky_server.fault_plan.clear()
         flaky_server.fault_plan.append(FAULT_LONG_STATUS)
-        client = client_class(
+        client = HTTPGraphBackend(
             flaky_server.url, timeout=5.0, retries=2, sleep=lambda _s: None
         )
         try:
@@ -230,3 +233,100 @@ class TestOversizedStatusLine:
             assert record.node == 0
         finally:
             client.close()
+
+
+def _status_lines(answer: bytes):
+    return [line for line in answer.split(b"\r\n") if line.startswith(b"HTTP/1.1 ")]
+
+
+# ----------------------------------------------------------------------
+# Fix 5: request Transfer-Encoding is refused, never dispatched
+# ----------------------------------------------------------------------
+class TestTransferEncoding:
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    def test_chunked_body_cannot_smuggle_a_request(
+        self, frontend, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        server.service.reset_stats()
+        # Pre-fix the chunked body was ignored (no Content-Length, so an
+        # empty body): POST /nodes answered 400 and the smuggled GET /info
+        # was then dispatched as the connection's next request.
+        probe = (
+            b"POST /nodes HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        answer = _raw_exchange(server, probe)
+        assert len(_status_lines(answer)) == 1
+        assert _status_lines(answer)[0].startswith(b"HTTP/1.1 501")
+        assert b"connection: close" in answer.lower()
+        assert sum(server.service.endpoint_counts.values()) == 0
+
+
+# ----------------------------------------------------------------------
+# Fix 6: one rule for bad framing and unknown methods
+# ----------------------------------------------------------------------
+class TestOneFramingRule:
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    @pytest.mark.parametrize("length", [b"-5", b"five"])
+    def test_bad_content_length_is_refused_on_every_method(
+        self, frontend, method, length, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        # Pre-fix the threaded frontend answered a GET carrying
+        # ``Content-Length: -5`` with 200 (and the body rule ran per route).
+        probe = (
+            method.encode() + b" /info HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n"
+        )
+        answer = _raw_exchange(server, probe)
+        assert len(_status_lines(answer)) == 1
+        assert _status_lines(answer)[0].startswith(b"HTTP/1.1 400")
+        assert b"connection: close" in answer.lower()
+
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    @pytest.mark.parametrize("method", ["DELETE", "PUT", "HEAD"])
+    def test_unsupported_method_answers_501(
+        self, frontend, method, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        probe = method.encode() + b" /info HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        answer = _raw_exchange(server, probe)
+        assert _status_lines(answer)[0].startswith(b"HTTP/1.1 501")
+
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    @pytest.mark.parametrize(
+        "probe, token",
+        [
+            (b"POST /nodes HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", "not_implemented"),
+            (b"GET /info HTTP/1.1\r\nContent-Length: -5\r\n\r\n", "bad_request"),
+            (b"GET\r\n\r\n", "bad_request"),
+        ],
+        ids=["transfer-encoding", "content-length", "request-line"],
+    )
+    def test_refusals_are_json_naming_their_status(
+        self, frontend, probe, token, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        answer = _raw_exchange(server, probe)
+        body = answer.split(b"\r\n\r\n", 1)[1]
+        assert json.loads(body)["error"] == token
+        assert b"connection: close" in answer.lower()
+
+
+# ----------------------------------------------------------------------
+# A source that cannot be opened leaves no listening socket behind
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("serve", [serve_backend, serve_backend_async])
+def test_bad_source_leaves_its_port_free(serve, tmp_path):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with pytest.raises(FileNotFoundError) as excinfo:
+        serve(str(tmp_path / "no-such-snapshot"), port=port)
+    # The traceback keeps the half-built server alive: had it bound before
+    # opening the source, its listening socket would still hold the port.
+    assert excinfo.value is not None
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", port))
