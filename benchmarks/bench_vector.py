@@ -7,10 +7,11 @@ of numpy gathers.  This benchmark pins that claim: a 1000-walker SRW
 ensemble on a >= 100k-node CSR-backed graph must run at least **10x**
 faster through :class:`~repro.engine.vector.VectorScheduler` than through
 the scalar :class:`~repro.engine.scheduler.WalkScheduler` over an identical
-fresh stack.  The MHRW / NB-SRW / CNRW ratios are recorded in the JSON
-payload without a floor (NB-SRW flattens the frontier rows each round and
-CNRW keeps per-walker circulation history, so their margins are real but
-workload-shaped).
+fresh stack.  CNRW, the paper's drop-in SRW replacement, must win by at
+least **12x**: its circulation history is array bookkeeping (one C-level
+bucket lookup per walker, slot bitmaps in one pool), and the per-walker
+Python loop it replaced measured 10.5-10.7x here.  The MHRW / NB-SRW ratios
+are recorded in the JSON payload without a floor.
 
 The two engines are different seed lineages — the comparison is throughput
 of the same workload shape, not path parity (the scalar goldens stay the
@@ -51,12 +52,14 @@ SEED = 0
 #: (REPRO_BENCH_SCALE < 1) record the ratio without asserting it — tiny
 #: graphs sit entirely in cache and the race is CI noise, not signal.
 REQUIRED_SPEEDUP = 10.0 if NUM_NODES >= 100_000 else None
-#: Interleaved timing repetitions for the asserted SRW race (medians are
+#: Required vector-over-scalar speedup for the CNRW ensemble (same scale rule).
+REQUIRED_CNRW_SPEEDUP = 12.0 if NUM_NODES >= 100_000 else None
+#: Interleaved timing repetitions for the asserted races (medians are
 #: compared, so a transient CPU-contention burst cannot flip the verdict).
 TIMING_REPEATS = 5
 #: Repetitions for the ratio-only kernels (recorded, never asserted).
 RATIO_REPEATS = 3
-RATIO_KERNELS = ("mhrw", "nbsrw", "cnrw")
+RATIO_KERNELS = ("mhrw", "nbsrw")
 
 
 def _synthetic_edges(num_nodes: int, out_degree: int, seed: int = 0) -> np.ndarray:
@@ -118,8 +121,12 @@ def _timed(function, *args):
         gc.enable()
 
 
-def _race(backend, start_nodes, kernel_name, repeats):
-    """Interleaved medians of scalar vs vector for one kernel."""
+def _race(backend, start_nodes, kernel_name, repeats, required=None):
+    """Interleaved medians of scalar vs vector for one kernel, recorded.
+
+    Prints and records the ratio, then asserts it meets ``required`` (when
+    not ``None``).  Returns the last run of each engine.
+    """
     scalar_times, vector_times = [], []
     scalar_out = vector_out = None
     for _ in range(repeats):
@@ -129,7 +136,30 @@ def _race(backend, start_nodes, kernel_name, repeats):
         vector_times.append(seconds)
     scalar_seconds = statistics.median(scalar_times)
     vector_seconds = statistics.median(vector_times)
-    return scalar_seconds, vector_seconds, scalar_out, vector_out
+    speedup = scalar_seconds / vector_seconds
+    print(
+        f"\n{WALKERS}x {kernel_name} x {STEPS} steps on {NUM_NODES} nodes: "
+        f"scalar {scalar_seconds * 1e3:.1f} ms, vector "
+        f"{vector_seconds * 1e3:.1f} ms ({speedup:.1f}x)"
+    )
+    record_bench_result(
+        f"engine.vector_vs_scalar_{kernel_name}",
+        nodes=NUM_NODES,
+        walkers=WALKERS,
+        steps=STEPS,
+        scalar_seconds=scalar_seconds,
+        vector_seconds=vector_seconds,
+        speedup=speedup,
+        required_speedup=required,
+    )
+    if required is not None:
+        assert speedup >= required, (
+            f"expected the vector engine to be >= {required}x faster than "
+            f"the scalar scheduler for the {WALKERS}-walker {kernel_name} "
+            f"ensemble (scalar {scalar_seconds:.3f}s vs vector "
+            f"{vector_seconds:.3f}s = {speedup:.2f}x)"
+        )
+    return scalar_out, vector_out
 
 
 def _fanout_fingerprint(seed: int) -> int:
@@ -164,11 +194,9 @@ def test_vector_srw_beats_scalar_by_10x(csr_backend, starts):
     fresh-stack billing invariant.
     """
     assert NUM_NODES >= 10_000
-
-    scalar_seconds, vector_seconds, scalar_out, vector_out = _race(
-        csr_backend, starts, "srw", TIMING_REPEATS
+    scalar_out, vector_out = _race(
+        csr_backend, starts, "srw", TIMING_REPEATS, REQUIRED_SPEEDUP
     )
-    speedup = scalar_seconds / vector_seconds
 
     # Determinism across the repeated runs: one more fresh run fingerprints
     # identically to the last timed one.
@@ -182,28 +210,19 @@ def test_vector_srw_beats_scalar_by_10x(csr_backend, starts):
     assert scalar_unique == scalar_total
     assert all(r.steps == STEPS for r in scalar_results)
 
-    print(
-        f"\n{WALKERS}x srw x {STEPS} steps on {NUM_NODES} nodes: "
-        f"scalar {scalar_seconds * 1e3:.1f} ms, vector "
-        f"{vector_seconds * 1e3:.1f} ms ({speedup:.1f}x)"
+
+def test_vector_cnrw_beats_scalar_by_12x(csr_backend, starts):
+    """Acceptance check: array-native circulation history wins >= 12x at scale.
+
+    The per-walker history loop this replaced measured 10.5-10.7x, so
+    restoring it fails the floor.
+    """
+    _, vector_out = _race(
+        csr_backend, starts, "cnrw", TIMING_REPEATS, REQUIRED_CNRW_SPEEDUP
     )
-    record_bench_result(
-        "engine.vector_vs_scalar_srw",
-        nodes=NUM_NODES,
-        walkers=WALKERS,
-        steps=STEPS,
-        scalar_seconds=scalar_seconds,
-        vector_seconds=vector_seconds,
-        speedup=speedup,
-        required_speedup=REQUIRED_SPEEDUP,
-    )
-    if REQUIRED_SPEEDUP is not None:
-        assert speedup >= REQUIRED_SPEEDUP, (
-            f"expected the vector engine to be >= {REQUIRED_SPEEDUP}x faster than "
-            f"the scalar scheduler for the {WALKERS}-walker SRW ensemble "
-            f"(scalar {scalar_seconds:.3f}s vs vector {vector_seconds:.3f}s "
-            f"= {speedup:.2f}x)"
-        )
+    result, unique, total = vector_out
+    assert result.steps == STEPS
+    assert unique == total  # fresh memoised stack
 
 
 @pytest.mark.parametrize("kernel_name", RATIO_KERNELS)
@@ -211,31 +230,12 @@ def test_record_kernel_speedup_ratio(csr_backend, starts, kernel_name):
     """Record (never assert) the vector-over-scalar ratio per kernel.
 
     MHRW vectorises as cleanly as SRW; NB-SRW pays a flattened-row scan per
-    round and CNRW a per-walker history pass, so their ratios are the honest
-    measure of how far the partial vectorisation carries.
+    round, so its ratio is workload-shaped.
     """
-    scalar_seconds, vector_seconds, _, vector_out = _race(
-        csr_backend, starts, kernel_name, RATIO_REPEATS
-    )
-    speedup = scalar_seconds / vector_seconds
+    _, vector_out = _race(csr_backend, starts, kernel_name, RATIO_REPEATS)
     result, unique, total = vector_out
     assert result.steps == STEPS
     assert unique == total  # fresh memoised stack
-    print(
-        f"\n{WALKERS}x {kernel_name} x {STEPS} steps on {NUM_NODES} nodes: "
-        f"scalar {scalar_seconds * 1e3:.1f} ms, vector "
-        f"{vector_seconds * 1e3:.1f} ms ({speedup:.1f}x)"
-    )
-    record_bench_result(
-        f"engine.vector_vs_scalar_{kernel_name}",
-        nodes=NUM_NODES,
-        walkers=WALKERS,
-        steps=STEPS,
-        scalar_seconds=scalar_seconds,
-        vector_seconds=vector_seconds,
-        speedup=speedup,
-        required_speedup=None,
-    )
 
 
 def test_vector_fingerprint_stable_across_process_fanout(csr_backend, starts):

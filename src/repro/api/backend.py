@@ -201,6 +201,7 @@ class CSRBackend(GraphBackend):
             self._index = {} if self._identity else {nid: i for i, nid in enumerate(self._ids)}
         self._attributes = dict(attributes) if attributes else {}
         self.name = name
+        self._simple_rows: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -404,11 +405,36 @@ class CSRBackend(GraphBackend):
     def number_of_edges(self) -> int:
         return int(self._indices.size) // 2
 
+    @property
+    def simple_rows(self) -> bool:
+        """Whether no row lists the same neighbor twice (checked once, then cached).
+
+        Every builder here produces simple rows (:meth:`from_edges` dedupes,
+        :meth:`from_graph` reads a set-based adjacency); only a hand-built
+        ``indptr`` / ``indices`` pair can repeat a neighbor.  The CNRW vector
+        kernel keys its circulation marks by row slot, which equals keying
+        by neighbor only on simple rows.
+        """
+        if self._simple_rows is None:
+            self._simple_rows = not _has_repeated_neighbor(self._indptr, self._indices)
+        return self._simple_rows
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"CSRBackend(name={self.name!r}, nodes={len(self)}, "
             f"edges={self.number_of_edges})"
         )
+
+
+def _has_repeated_neighbor(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether some CSR row lists one neighbor in two slots."""
+    if indices.size < 2:
+        return False
+    n = indptr.size - 1
+    # One int64 key per (row, neighbor) pair (exact while n**2 < 2**63).
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    keys.sort(kind="stable")
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def as_backend(source) -> GraphBackend:

@@ -340,6 +340,7 @@ class SamplingSession:
                 )
             kernel = make_vector_kernel(self._walker_name, **self._walker_options)
             scheduler = VectorScheduler(self.api)
+            scheduler.check(kernel, num_walks)
         except VectorizationError as error:
             warnings.warn(
                 f"vector mode unavailable ({error}); falling back to the "

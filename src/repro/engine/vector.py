@@ -15,9 +15,10 @@ This module is the opt-in columnar execution mode:
   :class:`VectorMHRWKernel`, :class:`VectorCNRWKernel`) advance every walker
   with batched draws from **one** ``numpy.random.Generator`` — SRW is a
   single uniform gather, MHRW a vectorised degree-ratio compare, NB-SRW an
-  index-shift over the flattened neighbor rows, and CNRW a vectorised
-  fast-path pick with a per-walker fallback only for walkers whose
-  circulation history actually constrains the hop;
+  index-shift over the flattened neighbor rows, and CNRW the same uniform
+  pick re-ranked over unmarked row slots for the walkers whose circulation
+  history constrains the hop, with that history kept as slot bitmaps in one
+  array pool (no per-walker Python loop);
 * :class:`VectorScheduler` validates that the stack is vectorisable (an
   array-capable :class:`~repro.api.backend.CSRBackend` /
   ``MmapCSRBackend`` core, optionally an unbounded cache and a budget layer),
@@ -28,7 +29,8 @@ This module is the opt-in columnar execution mode:
 
 Non-vectorisable configurations (remote / sharded / warehouse backends,
 bounded LRU caches, rate limits, neighbor shuffling, tracing, kernels without
-an array-native rule such as GNRW) raise the typed
+an array-native rule such as GNRW, CNRW over a hand-built CSR that lists a
+neighbor twice in one row) raise the typed
 :class:`~repro.exceptions.VectorizationError`;
 ``SamplingSession.run_ensemble(mode="vector")`` catches it and falls back to
 the scalar lockstep path with a warning.
@@ -44,7 +46,9 @@ from __future__ import annotations
 
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,6 +65,8 @@ from ..walks.base import WalkResult, implicit_step_cap
 #: ``previous`` value of a walker that has not moved yet (CSR indices are
 #: always non-negative, so -1 can never collide with a real position).
 NO_PREVIOUS = -1
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -100,7 +106,8 @@ class VectorKernel:
     """Array-native transition rule: one call advances every walker.
 
     Subclasses implement :meth:`advance`; kernels with per-walker history
-    (CNRW) allocate it in :meth:`begin`.  Randomness discipline: a kernel
+    (CNRW) allocate it in :meth:`begin` and refuse graphs or ensemble sizes
+    they cannot serve in :meth:`check`.  Randomness discipline: a kernel
     draws batched vectors from the rng it is passed, in a fixed number of
     calls per round, so a fixed vector-lineage seed reproduces the ensemble
     bit for bit.
@@ -108,6 +115,13 @@ class VectorKernel:
 
     #: Human-readable kernel name, overridden by subclasses.
     name = "vector-kernel"
+
+    def check(self, backend: CSRBackend, num_walkers: int) -> None:
+        """Raise :class:`VectorizationError` if this rule cannot serve the run.
+
+        Called before anything is billed, so a refusal leaves the stack
+        untouched for a scalar fallback.
+        """
 
     def begin(self, num_walkers: int) -> None:
         """Reset per-walker history for a fresh run of ``num_walkers``."""
@@ -218,16 +232,30 @@ class VectorNBSRWKernel(VectorKernel):
 
 
 class VectorCNRWKernel(VectorKernel):
-    """Circulated-neighbors rule: vector fast path + per-walker history.
+    """Circulated-neighbors rule with array-native circulation history.
 
-    The circulation bookkeeping (``b(u, v)`` buckets) is inherently
-    per-walker, so each round draws the uniform vector once, takes the
-    unconstrained pick for every walker, and then revisits **only** the
-    walkers whose bucket for the pending hop is non-empty, re-picking among
-    the remaining neighbors (row order preserved, the round's same uniform
-    draw reused over the shrunken candidate list).  Histories live in CSR
-    index space and reset per run.  Partially vectorised: the benchmark
-    records its speedup but pins no floor for it.
+    Each ``b(u, v)`` bucket is a bitmap over the slots of the current
+    node's CSR row, marking the neighbors already taken in this
+    circulation.  All bitmaps share one flat ``bool`` pool; a dict maps a
+    bucket id (walker × incoming CSR slot for ``recurrence="edge"``,
+    walker × current node for ``"node"``) to a handle into per-bucket
+    ``base`` / ``count`` / ``size`` / ``key`` arrays.  One round:
+
+    1. draws one uniform per walker and takes the unconstrained pick
+       ``min(floor(u * deg), deg - 1)``;
+    2. looks up every walker's bucket in one C-level ``dict.get`` pass;
+    3. re-picks each walker holding a bucket as the
+       ``min(floor(u * r), r - 1)``-th unmarked slot of its row (``r`` =
+       unmarked slots; row order), via a cumsum rank over the flattened
+       bitmaps — the same uniform, so a bucket-free round equals SRW;
+    4. scatters the new marks and counts, drops every completed bucket
+       (a full circulation resets it) and allocates the fresh ones.
+
+    Dead buckets' pool slots are reclaimed by compaction whenever the pool
+    must grow while at least half of it is dead, so memory stays
+    proportional to the live buckets.  Slot marks equal neighbor marks only
+    on rows that list no neighbor twice; :meth:`check` refuses any other
+    graph with :class:`VectorizationError`.
     """
 
     name = "cnrw"
@@ -238,49 +266,159 @@ class VectorCNRWKernel(VectorKernel):
         self.recurrence = recurrence
         if recurrence == "node":
             self.name = "cnrw-node"
-        self._histories: List[Dict[Tuple[int, int], set]] = []
+        self.begin(0)
+
+    def _key_span(self, indptr: np.ndarray, indices: np.ndarray) -> int:
+        """Distinct per-walker bucket keys: incoming slots + "none", or nodes."""
+        return int(indices.size) + 1 if self.recurrence == "edge" else int(indptr.size) - 1
+
+    def check(self, backend: CSRBackend, num_walkers: int) -> None:
+        if not backend.simple_rows:
+            raise VectorizationError(
+                f"backend {backend.name!r} lists a neighbor twice in one row; "
+                "the CNRW vector kernel marks circulation by row slot, which "
+                "needs rows without repeats — dedupe the CSR or use the "
+                "scalar scheduler"
+            )
+        _require_key_range(num_walkers, self._key_span(backend.indptr, backend.indices))
 
     def begin(self, num_walkers: int) -> None:
-        self._histories = [dict() for _ in range(num_walkers)]
+        self._buckets: Dict[int, int] = {}
+        self._incoming = np.full(num_walkers, NO_PREVIOUS, dtype=np.int64)
+        self._key_base = np.empty(0, dtype=np.int64)
+        self._marks = np.zeros(0, dtype=bool)
+        self._base = np.empty(0, dtype=np.int64)
+        self._size = np.empty(0, dtype=np.int64)
+        self._count = np.empty(0, dtype=np.int64)
+        self._key = np.empty(0, dtype=np.int64)
+        self._handles = 0  # handles issued since the last compaction
+        self._used = 0  # pool slots issued since the last compaction
+        self._live_slots = 0  # pool slots owned by live buckets
 
     def advance(self, state, indptr, indices, rng):
         cur = state.current
-        prev = state.previous
         n = cur.size
         starts = indptr[cur]
         degs = indptr[cur + 1] - starts
         u = rng.random(n)
-        nxt = _uniform_pick(starts, degs, indices, u)
-        edge_keyed = self.recurrence == "edge"
-        cur_list = cur.tolist()
-        prev_list = prev.tolist() if edge_keyed else None
-        starts_list = starts.tolist()
-        degs_list = degs.tolist()
-        chosen_list = nxt.tolist()
-        u_list = u.tolist()
-        histories = self._histories
-        for i in range(n):
-            history = histories[i]
-            key = (prev_list[i] if edge_keyed else NO_PREVIOUS, cur_list[i])
-            bucket = history.get(key)
-            chosen = chosen_list[i]
-            if bucket:
-                row = indices[starts_list[i]: starts_list[i] + degs_list[i]].tolist()
-                remaining = [v for v in row if v not in bucket]
-                if remaining:
-                    chosen = remaining[
-                        min(int(u_list[i] * len(remaining)), len(remaining) - 1)
-                    ]
-                    nxt[i] = chosen
-            elif bucket is None:
-                bucket = set()
-                history[key] = bucket
-            bucket.add(chosen)
-            if len(bucket) >= degs_list[i]:
-                # Full circulation of this neighborhood: reset the bucket
-                # (dropping the key keeps long walks' memory bounded).
-                del history[key]
-        return nxt
+        offsets = np.minimum((u * degs).astype(np.int64), degs - 1)
+        if self._key_base.size != n:
+            span = self._key_span(indptr, indices)
+            _require_key_range(n, span)
+            self._key_base = np.arange(n, dtype=np.int64) * span
+        if self.recurrence == "edge":
+            ids = self._key_base + (self._incoming + 1)
+        else:
+            ids = self._key_base + cur
+        buckets = self._buckets
+        handles = np.fromiter(
+            map(buckets.get, ids.tolist(), repeat(-1)), dtype=np.int64, count=n
+        )
+        held = np.flatnonzero(handles >= 0)
+        if held.size:
+            h = handles[held]
+            size = self._size[h]
+            left = size - self._count[h]
+            k = np.minimum((u[held] * left).astype(np.int64), left - 1)
+            picks = self._kth_unmarked(self._base[h], size, k)
+            offsets[held] = picks
+            self._marks[self._base[h] + picks] = True
+            self._count[h] += 1
+            done = h[self._count[h] == size]
+            if done.size:
+                deque(map(buckets.__delitem__, self._key[done].tolist()), maxlen=0)
+                self._count[done] = 0
+                self._live_slots -= int(self._size[done].sum())
+        fresh = np.flatnonzero((handles < 0) & (degs > 1))
+        if fresh.size:
+            self._allocate(ids[fresh], degs[fresh], offsets[fresh])
+        slots = starts + offsets
+        self._incoming = slots
+        return indices[slots]
+
+    def _kth_unmarked(
+        self, base: np.ndarray, size: np.ndarray, k: np.ndarray
+    ) -> np.ndarray:
+        """Row-local slot of each bucket's ``k``-th unmarked slot (row order)."""
+        ends = np.cumsum(size)
+        row_start = ends - size
+        local = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(row_start, size)
+        free = ~self._marks[np.repeat(base, size) + local]
+        rank = np.cumsum(free)
+        free_before = rank[row_start] - free[row_start]
+        return local[free & (rank == np.repeat(free_before + k + 1, size))]
+
+    def _allocate(self, ids: np.ndarray, size: np.ndarray, first: np.ndarray) -> None:
+        """Open one bucket per id, each with its first mark at slot ``first``."""
+        m = ids.size
+        need = int(size.sum())
+        self._reserve(m, need)
+        h = slice(self._handles, self._handles + m)
+        base = self._used + np.cumsum(size) - size
+        self._base[h] = base
+        self._size[h] = size
+        self._count[h] = 1
+        self._key[h] = ids
+        self._marks[base + first] = True
+        self._buckets.update(zip(ids.tolist(), range(h.start, h.stop)))
+        self._handles += m
+        self._used += need
+        self._live_slots += need
+
+    def _reserve(self, handles: int, slots: int) -> None:
+        """Make room for ``handles`` more buckets owning ``slots`` more slots."""
+        if (
+            self._handles + handles <= self._size.size
+            and self._used + slots <= self._marks.size
+        ):
+            return
+        if 2 * self._live_slots <= self._used:
+            self._compact()
+        wanted = self._handles + handles
+        if wanted > self._size.size:
+            capacity = 2 * wanted
+            for name in ("_base", "_size", "_count", "_key"):
+                grown = np.zeros(capacity, dtype=np.int64)
+                grown[: self._handles] = getattr(self, name)[: self._handles]
+                setattr(self, name, grown)
+        wanted = self._used + slots
+        if wanted > self._marks.size:
+            grown = np.zeros(2 * wanted, dtype=bool)
+            grown[: self._used] = self._marks[: self._used]
+            self._marks = grown
+
+    def _compact(self) -> None:
+        """Slide the live buckets to the front of the pool and renumber them."""
+        live = np.flatnonzero(self._count[: self._handles] > 0)
+        size = self._size[live]
+        base = np.cumsum(size) - size
+        total = int(size.sum())
+        local = np.arange(total, dtype=np.int64) - np.repeat(base, size)
+        kept = self._marks[np.repeat(self._base[live], size) + local]
+        self._marks[:total] = kept
+        self._marks[total: self._used] = False
+        m = live.size
+        self._count[:m] = self._count[live]
+        self._key[:m] = self._key[live]
+        self._size[:m] = size
+        self._base[:m] = base
+        self._buckets = dict(zip(self._key[:m].tolist(), range(m)))
+        self._handles = m
+        self._used = total
+
+
+def _require_key_range(num_walkers: int, span: int) -> None:
+    """Refuse ensembles whose bucket ids would overflow int64.
+
+    A bucket id is ``walker * span + key`` with ``0 <= key < span``, so the
+    largest is ``num_walkers * span - 1``.
+    """
+    if num_walkers * span > _INT64_MAX + 1:
+        raise VectorizationError(
+            f"{num_walkers} walkers x {span} bucket keys per walker overflow "
+            "the CNRW kernel's int64 bucket ids; split the ensemble or use "
+            "the scalar scheduler"
+        )
 
 
 #: Kernel factory names the vector engine can serve (normalised spellings).
@@ -473,6 +611,14 @@ class VectorScheduler:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def check(self, kernel: VectorKernel, num_walkers: int) -> None:
+        """Raise :class:`VectorizationError` if ``kernel`` cannot run here.
+
+        :meth:`run` calls it before billing anything; callers that want to
+        fall back to the scalar path can call it up front.
+        """
+        kernel.check(self._backend, num_walkers)
+
     def run(
         self,
         kernel: Union[str, VectorKernel],
@@ -531,6 +677,7 @@ class VectorScheduler:
 
         start_indices = backend.to_indices(starts)
         n = start_indices.size
+        self.check(kernel, n)
         rng = lineage_rng(seed, "vector")
         stats = self._stats
         if self._memoising:

@@ -29,6 +29,7 @@ from .wire import (
     FramingError,
     LeanHeaders,
     body_length,
+    interim_response,
     render_refusal,
     render_response,
     store_header_line,
@@ -153,7 +154,7 @@ class AsyncGraphServer(ServiceHost):
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except FramingError as error:
                     writer.write(render_refusal(error))
                     await writer.drain()
@@ -187,10 +188,12 @@ class AsyncGraphServer(ServiceHost):
                 # spurious "Exception in callback ... CancelledError".
                 pass
 
-    async def _read_request(self, reader):
+    async def _read_request(self, reader, writer):
         """Read one request; ``None`` on EOF, :class:`FramingError` on refuse.
 
-        Returns ``(method, target, headers, body)``.  The wait for the
+        Returns ``(method, target, headers, body)``; an
+        ``Expect: 100-continue`` request gets its interim ``100 Continue``
+        on ``writer`` before the body is awaited.  The wait for the
         *first* byte is unbounded — an idle keep-alive connection costs this
         server nothing — but once a request line has arrived the rest of the
         request must land within ``timeout`` seconds, so a stalled
@@ -204,12 +207,12 @@ class AsyncGraphServer(ServiceHost):
             return None
         try:
             return await asyncio.wait_for(
-                self._read_rest(reader, request_line), self.timeout
+                self._read_rest(reader, writer, request_line), self.timeout
             )
         except (TimeoutError, asyncio.IncompleteReadError):
             return None
 
-    async def _read_rest(self, reader, request_line: bytes):
+    async def _read_rest(self, reader, writer, request_line: bytes):
         words = request_line.decode("iso-8859-1").rstrip("\r\n").split()
         if len(words) != 3 or words[2] != "HTTP/1.1":
             raise FramingError(
@@ -232,6 +235,10 @@ class AsyncGraphServer(ServiceHost):
                 break
         headers = LeanHeaders(raw)
         length = body_length(headers)
+        interim = interim_response(headers, length)
+        if interim:
+            writer.write(interim)
+            await writer.drain()
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 

@@ -27,6 +27,7 @@ from .wire import (
     FramingError,
     LeanHeaders,
     body_length,
+    interim_response,
     render_refusal,
     render_response,
     store_header_line,
@@ -111,9 +112,10 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         self.headers = LeanHeaders(raw)
         if raw.get(b"connection", b"").lower() == b"close":
             self.close_connection = True
-        if raw.get(b"expect", b"").lower() == b"100-continue":
-            if not self.handle_expect_100():
-                return False
+        return True
+
+    def handle_expect_100(self) -> bool:
+        """Defer ``Expect: 100-continue`` to :meth:`_serve` (one rule, in ``wire``)."""
         return True
 
     def _refuse(self, error: FramingError) -> None:
@@ -133,6 +135,11 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         except FramingError as error:
             self._refuse(error)
             return
+        interim = interim_response(self.headers, length)
+        if interim:
+            # Flush now: the client sends the body only once it sees this.
+            self.wfile.write(interim)
+            self.wfile.flush()
         body = self.rfile.read(length) if length else b""
         if len(body) < length:
             # EOF mid-body: nobody is left to receive a response.

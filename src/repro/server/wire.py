@@ -14,6 +14,8 @@ rule that carries correctness weight lives here once:
 * :func:`body_length` — how many body bytes follow the headers: only a
   plain non-negative ``Content-Length`` frames a body, and any request
   ``Transfer-Encoding`` is refused (the CL/TE smuggling shape);
+* :func:`interim_response` — the ``100 Continue`` an
+  ``Expect: 100-continue`` client waits for, sent before the body is read;
 * :func:`render_response` / :func:`render_refusal` — the bytes of one
   response, and of a refusal that closes the connection;
 * :func:`reachable_url` — a client-connectable URL for a bound address
@@ -121,6 +123,26 @@ def body_length(headers) -> int:
     if not (value.isascii() and value.isdigit()):
         raise FramingError(400, f"Content-Length {value!r} is not a non-negative integer")
     return int(value)
+
+
+#: The interim response that releases an ``Expect: 100-continue`` body.
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def interim_response(headers, length: int) -> bytes:
+    """What to send before reading a ``length``-byte body: ``100 Continue`` or nothing.
+
+    Call it once :func:`body_length` has accepted the framing.  A client
+    that sent ``Expect: 100-continue`` holds its body back until it sees
+    the interim response, so the frontend must put it on the wire (flushed)
+    *before* waiting for the body; buffered behind the final response it
+    would leave the client waiting out its own timeout.  Nothing is sent
+    when no body follows.
+    """
+    expect = headers.get("Expect")
+    if length and expect is not None and expect.lower() == "100-continue":
+        return CONTINUE
+    return b""
 
 
 def render_response(

@@ -17,6 +17,14 @@ reference.  What this suite locks down:
   intentionally differ;
 * kernel-level walk properties (NB-SRW never backtracks, CNRW circulates
   without repeats) checked on the emitted paths, not on internals;
+* a differential oracle: the array-native CNRW kernel reproduces, path for
+  path, the per-walker dict-of-sets loop it replaced (kept here as
+  ``ReferenceCNRWKernel``), with its history pool bounded by the live
+  buckets, its int64 bucket ids guarded against overflow, and CSR rows that
+  repeat a neighbor refused before anything is billed;
+* every non-SRW vector kernel's visit distribution within a
+  total-variation bound of its target (degree-proportional, or uniform for
+  MHRW);
 * typed :class:`VectorizationError` refusals for every non-vectorisable
   stack shape, and the documented warn-and-fall-back behaviour of
   ``SamplingSession.run_ensemble(mode="vector")``;
@@ -33,7 +41,11 @@ import pytest
 from repro.api import CSRBackend, SamplingSession, build_api
 from repro.engine.vector import (
     VECTOR_KERNEL_NAMES,
+    VectorCNRWKernel,
+    VectorKernel,
     VectorScheduler,
+    VectorWalkState,
+    _require_key_range,
     make_vector_kernel,
 )
 from repro.exceptions import (
@@ -41,7 +53,7 @@ from repro.exceptions import (
     InvalidStartNodeError,
     VectorizationError,
 )
-from repro.graphs import load_dataset
+from repro.graphs import barbell_graph, clustered_cliques_graph, load_dataset
 from repro.rng import cumulative_pick, lineage_rng, weighted_choice
 from repro.storage import load_snapshot, save_snapshot
 
@@ -489,3 +501,250 @@ class TestMHRWPeekCache:
             pass
 
         assert MHRWKernel(Bare())._peek is None
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the array CNRW kernel against the per-walker loop
+# ----------------------------------------------------------------------
+class ReferenceCNRWKernel(VectorKernel):
+    """The per-walker dict-of-sets CNRW loop, kept only as a test oracle.
+
+    Each walker owns a ``{(previous or -1, current): set(taken neighbors)}``
+    history; a walker whose bucket for the pending hop is non-empty
+    re-picks among the row's remaining neighbors (row order) with the
+    round's same uniform, and a bucket holding the whole row resets.
+    """
+
+    def __init__(self, recurrence: str = "edge") -> None:
+        self.recurrence = recurrence
+        self.histories = []
+
+    def begin(self, num_walkers):
+        self.histories = [dict() for _ in range(num_walkers)]
+
+    def advance(self, state, indptr, indices, rng):
+        cur = state.current
+        prev = state.previous
+        n = cur.size
+        starts = indptr[cur]
+        degs = indptr[cur + 1] - starts
+        u = rng.random(n)
+        nxt = indices[starts + np.minimum((u * degs).astype(np.int64), degs - 1)]
+        edge_keyed = self.recurrence == "edge"
+        cur_list = cur.tolist()
+        prev_list = prev.tolist() if edge_keyed else None
+        starts_list = starts.tolist()
+        degs_list = degs.tolist()
+        chosen_list = nxt.tolist()
+        u_list = u.tolist()
+        for i in range(n):
+            history = self.histories[i]
+            key = (prev_list[i] if edge_keyed else -1, cur_list[i])
+            bucket = history.get(key)
+            chosen = chosen_list[i]
+            if bucket:
+                row = indices[starts_list[i]: starts_list[i] + degs_list[i]].tolist()
+                remaining = [v for v in row if v not in bucket]
+                if remaining:
+                    chosen = remaining[
+                        min(int(u_list[i] * len(remaining)), len(remaining) - 1)
+                    ]
+                    nxt[i] = chosen
+            elif bucket is None:
+                bucket = set()
+                history[key] = bucket
+            bucket.add(chosen)
+            if len(bucket) >= degs_list[i]:
+                del history[key]
+        return nxt
+
+
+def _leafy_random_backend() -> CSRBackend:
+    """A ``from_edges`` random graph whose 30 leaves hang off a 60-node core."""
+    rng = np.random.default_rng(4)
+    core = rng.integers(0, 60, size=(240, 2))
+    leaves = np.stack([np.arange(60, 90), rng.integers(0, 60, size=30)], axis=1)
+    return CSRBackend.from_edges(np.concatenate([core, leaves]), name="leafy")
+
+
+DIFFERENTIAL_GRAPHS = {
+    "facebook_like": lambda: CSRBackend.from_graph(
+        load_dataset("facebook_like", seed=7, scale=0.12)
+    ),
+    "clustered_cliques": lambda: CSRBackend.from_graph(
+        clustered_cliques_graph((5, 8, 12), seed=0)
+    ),
+    "barbell": lambda: CSRBackend.from_graph(barbell_graph(6)),
+    "leafy_random": _leafy_random_backend,
+}
+DIFFERENTIAL_STEPS = 300
+
+
+@pytest.fixture(scope="module", params=sorted(DIFFERENTIAL_GRAPHS))
+def differential_backend(request):
+    return DIFFERENTIAL_GRAPHS[request.param]()
+
+
+def _live_starts(backend, count, seed):
+    degrees = np.diff(backend.indptr)
+    live = np.flatnonzero(degrees > 0)
+    picks = np.random.default_rng(seed).choice(live, size=count)
+    return backend.to_node_ids(picks)
+
+
+class TestCNRWDifferentialOracle:
+    @pytest.mark.parametrize("recurrence", ["edge", "node"])
+    @pytest.mark.parametrize("walkers", [1, 7, 500])
+    def test_paths_equal_the_per_walker_loop(
+        self, differential_backend, recurrence, walkers
+    ):
+        starts = _live_starts(differential_backend, walkers, seed=walkers)
+        runs = []
+        for kernel in (VectorCNRWKernel(recurrence), ReferenceCNRWKernel(recurrence)):
+            scheduler = VectorScheduler(build_api(differential_backend))
+            runs.append(
+                scheduler.run(kernel, starts, steps=DIFFERENTIAL_STEPS, seed=walkers)
+            )
+        array_run, oracle_run = runs
+        assert np.array_equal(array_run.paths, oracle_run.paths)
+        assert array_run.unique_queries == oracle_run.unique_queries
+        assert array_run.total_queries == oracle_run.total_queries
+
+    @pytest.mark.parametrize("recurrence", ["edge", "node"])
+    def test_pool_stays_bounded_by_live_buckets(self, recurrence):
+        """Over 3000 rounds the live buckets match the oracle's every round,
+        and the pool never outgrows a constant multiple of them."""
+        backend = CSRBackend.from_graph(clustered_cliques_graph((5, 8, 12), seed=0))
+        indptr, indices = backend.indptr, backend.indices
+        starts = backend.to_indices(_live_starts(backend, 7, seed=3))
+        kernel, oracle = VectorCNRWKernel(recurrence), ReferenceCNRWKernel(recurrence)
+        states = [VectorWalkState.place(starts), VectorWalkState.place(starts)]
+        rngs = [lineage_rng(5, "vector"), lineage_rng(5, "vector")]
+        kernel.begin(starts.size)
+        oracle.begin(starts.size)
+        round_demand = 2 * starts.size * int(np.diff(indptr).max())
+        compactions = []
+        compact = kernel._compact
+        kernel._compact = lambda: (compactions.append(kernel._used), compact())
+        peak_live = 0
+        for _ in range(3000):
+            targets = kernel.advance(states[0], indptr, indices, rngs[0])
+            expected = oracle.advance(states[1], indptr, indices, rngs[1])
+            assert np.array_equal(targets, expected)
+            states[0].advance(targets)
+            states[1].advance(expected)
+            assert len(kernel._buckets) == sum(len(h) for h in oracle.histories)
+            peak_live = max(peak_live, kernel._live_slots)
+            assert kernel._marks.size <= 4 * peak_live + round_demand
+        # Completed buckets were reclaimed rather than left to pile up.
+        assert len(compactions) >= 2
+
+    def test_bucket_id_overflow_guard(self):
+        limit = int(np.iinfo(np.int64).max) + 1
+        _require_key_range(2, limit // 2)  # largest id is exactly int64 max
+        _require_key_range(1, limit)
+        with pytest.raises(VectorizationError, match="overflow"):
+            _require_key_range(2, limit // 2 + 1)
+        with pytest.raises(VectorizationError, match="overflow"):
+            _require_key_range(3, limit // 2)
+
+    def test_overflowing_ensemble_is_refused_before_billing(self):
+        # 2**40 nodes by implicit ids over broadcast (memory-free) arrays:
+        # 2**23 node-keyed walkers fit int64 exactly, one more does not.
+        nodes = 2**40
+        backend = CSRBackend(
+            indptr=np.broadcast_to(np.int64(0), (nodes + 1,)),
+            indices=np.empty(0, dtype=np.int64),
+        )
+        kernel = VectorCNRWKernel("node")
+        kernel.check(backend, 2**23)
+        with pytest.raises(VectorizationError, match="overflow"):
+            kernel.check(backend, 2**23 + 1)
+
+
+# ----------------------------------------------------------------------
+# Rows that repeat a neighbor: refused, never a silently different path
+# ----------------------------------------------------------------------
+def _repeated_neighbor_backend() -> CSRBackend:
+    # Node 0 lists node 1 twice; the scalar reading marks node 1 once for
+    # both slots, a slot bitmap would not.
+    indptr = np.array([0, 3, 5, 7])
+    indices = np.array([1, 2, 1, 0, 2, 0, 1])
+    return CSRBackend(indptr, indices, name="repeats")
+
+
+class TestRepeatedNeighborRule:
+    def test_builders_produce_simple_rows(self, csr_backend, mmap_backend):
+        assert csr_backend.simple_rows
+        assert mmap_backend.simple_rows
+        assert _leafy_random_backend().simple_rows
+        assert not _repeated_neighbor_backend().simple_rows
+
+    def test_unsorted_rows_without_repeats_are_simple(self):
+        backend = CSRBackend(np.array([0, 3, 4, 5, 6]), np.array([3, 1, 2, 0, 0, 0]))
+        assert backend.simple_rows
+
+    @pytest.mark.parametrize("kernel_name", ["cnrw", "cnrw_node"])
+    def test_cnrw_refuses_before_billing(self, kernel_name):
+        api = build_api(_repeated_neighbor_backend())
+        with pytest.raises(VectorizationError, match="neighbor twice"):
+            VectorScheduler(api).run(kernel_name, [0, 1], steps=5, seed=1)
+        assert api.unique_queries == api.total_queries == 0
+
+    def test_other_kernels_still_run(self):
+        api = build_api(_repeated_neighbor_backend())
+        result = VectorScheduler(api).run("srw", [0, 1], steps=5, seed=1)
+        assert result.steps == 5
+
+    def test_session_falls_back_to_scalar(self):
+        session = SamplingSession(_repeated_neighbor_backend()).walker("cnrw", seed=2)
+        with pytest.warns(UserWarning, match="neighbor twice"):
+            results = session.run_ensemble(2, steps=6, starts=[0, 1], seed=2, mode="vector")
+        assert all(result.steps == 6 for result in results)
+
+    def test_rows_are_checked_once_per_backend(self, monkeypatch):
+        import repro.api.backend as backend_module
+
+        calls = []
+        original = backend_module._has_repeated_neighbor
+
+        def counting(indptr, indices):
+            calls.append(1)
+            return original(indptr, indices)
+
+        monkeypatch.setattr(backend_module, "_has_repeated_neighbor", counting)
+        backend = CSRBackend.from_graph(barbell_graph(4))
+        for seed in (1, 2, 3):
+            VectorScheduler(build_api(backend)).run("cnrw", [0, 5], steps=10, seed=seed)
+        assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# Every vector kernel converges to its walk's stationary distribution
+# ----------------------------------------------------------------------
+#: Total-variation bound for 200 walkers x 350 retained rounds from uniform
+#: random starts.  Measured at seeds 0/1/2: MHRW 0.025/0.011/0.058, NB-SRW
+#: 0.008/0.011/0.016, CNRW 0.020/0.026/0.015, node-keyed CNRW
+#: 0.023/0.020/0.024.  MHRW mixes slowest across the bridges: over seeds
+#: 0-39 its TV averaged 0.024 (95th percentile 0.052, max 0.067), so the
+#: bound is a fixed-seed regression pin, not a calibrated test at any seed.
+VECTOR_TV_BOUND = 0.06
+
+
+class TestVectorKernelStationarity:
+    @pytest.mark.parametrize("kernel_name", ["mhrw", "nbsrw", "cnrw", "cnrw_node"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_visit_distribution_matches_target(self, kernel_name, seed):
+        backend = CSRBackend.from_graph(clustered_cliques_graph((5, 8, 12), seed=0))
+        degrees = np.diff(backend.indptr).astype(float)
+        if kernel_name == "mhrw":
+            target = np.full(degrees.size, 1.0 / degrees.size)
+        else:
+            target = degrees / degrees.sum()
+        starts = _live_starts(backend, 200, seed=seed)
+        result = VectorScheduler(build_api(backend)).run(
+            kernel_name, starts, steps=400, seed=seed
+        )
+        visits = np.bincount(result.paths[51:].ravel(), minlength=degrees.size)
+        tv = 0.5 * np.abs(visits / visits.sum() - target).sum()
+        assert tv < VECTOR_TV_BOUND, f"{kernel_name} seed {seed}: TV {tv:.4f}"

@@ -24,6 +24,10 @@ socket level, against *both* server frontends (framing is shared through
    answers 400 + close on every method and both frontends, and an
    unsupported method answers 501 on both.  Every refusal is a JSON body
    whose ``error`` token names its status.
+7. **Expect: 100-continue** — the threaded frontend used to buffer its
+   ``100 Continue`` until the final response and the asyncio one never sent
+   it, so a client holding its body back waited out its own timeout; now
+   both send it before reading the body.
 """
 
 from __future__ import annotations
@@ -313,6 +317,58 @@ class TestOneFramingRule:
         body = answer.split(b"\r\n\r\n", 1)[1]
         assert json.loads(body)["error"] == token
         assert b"connection: close" in answer.lower()
+
+
+# ----------------------------------------------------------------------
+# Fix 7: Expect: 100-continue gets its interim response before the body
+# ----------------------------------------------------------------------
+def _recv_until(sock, marker: bytes) -> bytes:
+    data = b""
+    while marker not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+class TestExpectContinue:
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    def test_100_continue_arrives_before_the_body_is_sent(
+        self, frontend, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        body = json.dumps({"nodes": [0, 1]}).encode()
+        head = (
+            b"POST /nodes HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            b"Expect: 100-continue\r\nConnection: close\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+        )
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(head)
+            # Pre-fix this read timed out on both frontends: the body is
+            # held back until the server answers.
+            interim = _recv_until(sock, b"\r\n\r\n")
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            answer = _recv_until(sock, b"\x00")  # everything until EOF
+        assert len(_status_lines(answer)) == 1
+        assert _status_lines(answer)[0].startswith(b"HTTP/1.1 200")
+        payload = json.loads(answer.split(b"\r\n\r\n", 1)[1])
+        assert len(payload["records"]) == 2
+
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    def test_no_interim_response_without_a_body(
+        self, frontend, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        probe = (
+            b"GET /info HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        answer = _raw_exchange(server, probe)
+        assert [line[:12] for line in _status_lines(answer)] == [b"HTTP/1.1 200"]
 
 
 # ----------------------------------------------------------------------
