@@ -7,9 +7,9 @@ Three workloads pin the cost from three directions:
 
 * ``vector_ensemble`` — a 1000-walker vector ensemble over a CSR graph, the
   tightest loop in the codebase; asserts the <= 10% ratio bar.
-* ``remote_walk`` — whole walks served by ``POST /walk`` on the asyncio
-  frontend (the serving stack's remote flagship: one traced round trip per
-  walk); asserts the <= 10% ratio bar.
+* ``remote_walk`` — whole walks served by ``POST /walk`` (the serving
+  stack's remote flagship: one traced round trip per walk); asserts the
+  <= 10% ratio bar.
 * ``client_driven_fetches`` — a budgeted walk fetching node-by-node over
   loopback HTTP, where *every* request carries an ``X-Repro-Trace`` header
   and returns an ``X-Repro-Span`` echo.  The echo is a fixed per-request
@@ -36,7 +36,7 @@ import numpy as np
 from repro.api import CSRBackend, HTTPGraphBackend, build_api
 from repro.engine import VectorScheduler
 from repro.obs import Tracer, disable_telemetry, enable_telemetry, global_registry
-from repro.server import serve_backend, serve_backend_async
+from repro.server import serve_backend
 from repro.walks import make_walker
 import repro.obs as obs
 
@@ -51,7 +51,7 @@ VECTOR_STEPS = max(20, int(200 * bench_scale()))
 REMOTE_BUDGET = max(100, int(400 * bench_scale()))
 #: Walks per timed sample on the server-side path (one POST /walk each).
 #: Long samples (~90 ms) average out thread-placement luck between the
-#: event loop, its walk executor and the client.
+#: server's handler thread and the client.
 REMOTE_WALKS = 12
 SEED = 0
 REPEATS = 7
@@ -177,7 +177,7 @@ def test_obs_overhead_remote_walk():
     """Server-side walks (``POST /walk``) pay <= 10% for enabled telemetry."""
     backend = _make_backend()
     start = int(np.flatnonzero(backend.indptr[1:] - backend.indptr[:-1] > 0)[0])
-    with serve_backend_async(backend) as server:
+    with serve_backend(backend) as server:
 
         def run():
             with HTTPGraphBackend(server.url, timeout=30.0) as client:

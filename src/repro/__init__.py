@@ -139,7 +139,7 @@ from .engine import (
     WalkScheduler,
     make_vector_kernel,
 )
-from .server import AsyncGraphServer, GraphHTTPServer, GraphService, serve_backend, serve_backend_async
+from .server import GraphHTTPServer, GraphService, serve_backend
 from .storage import (
     MmapCSRBackend,
     ReplayBackend,
@@ -189,7 +189,6 @@ __all__ = [
     "GraphHTTPServer",
     "GraphService",
     "GroupByNeighborsRandomWalk",
-    "AsyncGraphServer",
     "HTTPGraphBackend",
     "HashRing",
     "InMemoryBackend",
@@ -259,7 +258,6 @@ __all__ = [
     "repartition",
     "save_snapshot",
     "serve_backend",
-    "serve_backend_async",
     "walk_fingerprint",
     "summarize",
     "symmetric_kl_divergence",

@@ -44,11 +44,9 @@ A ``walk --source URL`` drives the remote service through
 walk over the served files locally.  The service also answers ``POST /walk``
 (whole walks run server-side in one round trip) and ``GET /stats``;
 ``--tenants tenants.json`` maps API keys to per-tenant query budgets and
-rate limits, ``--access-log FILE`` appends one JSON line per request, and
-``--async`` serves the same service from one event loop instead of one
-thread per connection::
+rate limits, and ``--access-log FILE`` appends one JSON line per request::
 
-    python -m repro.cli serve --source snapshots/fb --port 8642 --async --tenants tenants.json
+    python -m repro.cli serve --source snapshots/fb --port 8642 --tenants tenants.json
 
 The cluster commands scale the service tier horizontally (see
 :mod:`repro.cluster`): ``partition`` splits a CSR snapshot into N per-shard
@@ -356,7 +354,11 @@ def _run_serve(args: argparse.Namespace) -> None:
 
     from .api import as_backend
     from .graphs import load_dataset
-    from .server import GraphService, serve_backend, serve_backend_async
+    from .server import GraphService, serve_backend
+
+    if args.async_server:
+        print("note: --async is deprecated and ignored; serving the threaded "
+              "frontend", file=sys.stderr, flush=True)
 
     if args.source is not None:
         _reject_source_conflicts(args)
@@ -366,15 +368,14 @@ def _run_serve(args: argparse.Namespace) -> None:
                              scale=args.scale or 1.0)
         backend = as_backend(graph)
     service = GraphService(backend, tenants=args.tenants, access_log=args.access_log)
-    serve = serve_backend_async if args.async_server else serve_backend
-    server = serve(service, host=args.host, port=args.port).start()
+    server = serve_backend(service, host=args.host, port=args.port).start()
     # Handlers go in before the readiness banner: a supervisor (or CI) may
     # send SIGTERM the moment the banner appears.
     with _graceful_signals():
         try:
             print(f"Serving {backend.name} ({len(backend)} nodes) at {server.url}",
                   flush=True)
-            print(f"{service.frontend} adapter; endpoints: GET /info  "
+            print("endpoints: GET /info  "
                   "GET /node/<id>  POST /nodes  GET /meta/<id>  GET /node-ids  "
                   "POST /walk  GET /stats  GET /metrics", flush=True)
             if args.tenants is not None:
@@ -872,11 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
         "printed at startup); for 'serve-cluster' the base port — shard i "
         "binds port+i (0 gives every shard its own ephemeral port)",
     )
+    # Accepted so existing launch scripts keep working; it names a removed
+    # asyncio frontend and now only prints a deprecation notice.
     serve.add_argument(
-        "--async", dest="async_server", action="store_true",
-        help="serve through the asyncio adapter ('serve'): one event loop "
-        "instead of one thread per connection; endpoints, tenants and "
-        "stats are the same service either way",
+        "--async", dest="async_server", action="store_true", help=argparse.SUPPRESS,
     )
     serve.add_argument(
         "--tenants", type=Path, default=None,
@@ -946,8 +946,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("  snapshot (persist a dataset as a mmap CSR snapshot; see --dataset/--out)")
         print("  replay (record a traced crawl to --dump with --record, or replay one)")
         print("  serve (expose a graph source over JSON/HTTP; see --source/--host/"
-              "--port, --tenants/--access-log for per-tenant policy and "
-              "--async for the asyncio adapter)")
+              "--port, --tenants/--access-log for per-tenant policy)")
         print("  partition (split a snapshot into consistent-hashed shards; "
               "see --source/--out/--shards/--replicas)")
         print("  repartition (re-balance an existing cluster dir and bump its "

@@ -1,6 +1,6 @@
 """Unified telemetry: a metrics registry, span tracing, and wire propagation.
 
-The serving stack spans client middleware, two HTTP frontends, a replicated
+The serving stack spans client middleware, an HTTP frontend, a replicated
 shard tier and a SQLite warehouse; before this module each layer kept its own
 disjoint counters (``QueryStats``, ``endpoint_counts``, access-log lines)
 with no shared request identity and no latency data.  ``repro.obs`` is the
@@ -10,7 +10,7 @@ one place all of them report into:
   histograms behind one small lock, with an injectable clock and zero
   dependencies.  Rendered as Prometheus text exposition
   (:meth:`~MetricsRegistry.render_prometheus`, served at ``GET /metrics`` by
-  both frontends) or as a JSON-ready snapshot (folded into ``GET /stats``).
+  the server) or as a JSON-ready snapshot (folded into ``GET /stats``).
 * :class:`Tracer` / :class:`Span` — span-based tracing with parent/child
   links.  A tracer is *activated* (module-global with a thread-local
   override) and instrumented code opens spans through
@@ -18,7 +18,7 @@ one place all of them report into:
   is off by default and off-by-default-cheap.
 * Wire propagation — the additive ``X-Repro-Trace`` request header
   (``repro-trace`` v1) carries ``trace id + parent span`` from the client
-  through both frontends; servers answer with an ``X-Repro-Span`` echo
+  through the server; servers answer with an ``X-Repro-Span`` echo
   carrying their own span id and measured duration, which the client folds
   back into its trace.  One remote ensemble therefore yields one correlated
   JSONL trace tree — client, server and shard spans under a single trace id

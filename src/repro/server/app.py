@@ -1,4 +1,4 @@
-"""Thread-per-connection I/O adapter for the :class:`GraphService`.
+"""The HTTP frontend of the :class:`GraphService`: one thread per connection.
 
 :func:`serve_backend` binds a :class:`GraphHTTPServer` (a
 ``http.server.ThreadingHTTPServer``) over any graph source — an in-memory
@@ -21,13 +21,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
 from ..api.remote import WIRE_FORMAT, WIRE_VERSION
-from .service import GraphService, ServiceHost, as_service
+from .service import GraphService, as_service
 from .wire import (
     MAX_LINE,
     FramingError,
     LeanHeaders,
     body_length,
     interim_response,
+    reachable_url,
     render_refusal,
     render_response,
     store_header_line,
@@ -129,7 +130,8 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
     def _serve(self) -> None:
         # The body is drained before any response: answering without
         # consuming it would leave it in the socket, where it poisons the
-        # next keep-alive request's parse.
+        # next keep-alive request's parse.  A refused framing (bad or
+        # oversized Content-Length) reads no body and closes instead.
         try:
             length = body_length(self.headers)
         except FramingError as error:
@@ -164,7 +166,7 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         return False
 
 
-class GraphHTTPServer(ServiceHost, ThreadingHTTPServer):
+class GraphHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`GraphService`.
 
     Build one with :func:`serve_backend` (``source`` is a service, or
@@ -172,8 +174,9 @@ class GraphHTTPServer(ServiceHost, ThreadingHTTPServer):
     daemon thread; :meth:`close` stops the accept loop, force-closes any
     still-open keep-alive connections (so no handler thread can linger on a
     blocked read) and joins every thread — the test suite asserts that no
-    server outlives its fixture.  Use as a context manager for the
-    start/close pairing.
+    server outlives its fixture (:meth:`live_servers`).  Use as a context
+    manager for the start/close pairing.  Counts, ``nodes_served``, the
+    metrics registry and ``reset_stats`` live on the hosted :attr:`service`.
     """
 
     daemon_threads = True
@@ -184,7 +187,6 @@ class GraphHTTPServer(ServiceHost, ThreadingHTTPServer):
         # Build the service before binding, so a bad source leaves no
         # listening socket behind.
         self.service: GraphService = as_service(source)
-        self.service.frontend = "threaded"
         super().__init__(address, handler_class)
         self._connections_lock = threading.Lock()
         self._connections: set = set()
@@ -226,10 +228,40 @@ class GraphHTTPServer(ServiceHost, ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def url(self) -> str:
+        """A client-connectable URL for the bound address.
+
+        Wildcard binds (``0.0.0.0`` / ``::``) resolve to the matching
+        loopback — the literal wildcard is not connectable — and IPv6 hosts
+        are bracketed so the URL authority parses.
+        """
+        host, port = self.server_address[:2]
+        return reachable_url(host, port)
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @classmethod
+    def live_servers(cls) -> List["GraphHTTPServer"]:
+        """Every server not yet closed (leak detection in the test suite)."""
+        return list(cls._live)
+
+    def __enter__(self) -> "GraphHTTPServer":
+        if self._thread is None:
+            self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def start(self) -> "GraphHTTPServer":
         """Serve from a background daemon thread; returns self."""
         if self._thread is not None:
             raise RuntimeError("server is already started")
+        if self._closed:
+            raise RuntimeError("server is closed")
         self._thread = threading.Thread(
             target=self.serve_forever, name="repro-http-server", daemon=True
         )

@@ -2,25 +2,26 @@
 
 :class:`GraphService` answers one parsed request at a time through
 :meth:`GraphService.handle` — ``(method, target, headers, body) -> (status,
-headers, body, close)`` — and never touches a socket.  Both HTTP frontends
-are thin I/O adapters around it: :mod:`repro.server.app` (a thread per
-connection) and :mod:`repro.server.aio` (one event loop) parse with
-:mod:`repro.server.wire`, call :meth:`~GraphService.handle` and write the
-bytes back.  Everything a client can observe beyond framing lives here:
+headers, body, close)`` — and never touches a socket.  The HTTP frontend,
+:mod:`repro.server.app` (a thread per connection), is a thin I/O adapter
+around it: it parses with :mod:`repro.server.wire`, calls
+:meth:`~GraphService.handle` and writes the bytes back.  Everything a client
+can observe beyond framing lives here:
 
 * routing for every endpoint of the ``repro-graph-http`` wire —
   ``GET /info``, ``GET /node/<id>``, ``POST /nodes``, ``GET /meta/<id>``,
   ``GET /node-ids``, ``POST /walk``, ``GET /stats`` and ``GET /metrics``;
 * the ``/info`` descriptor, typed node-error payloads and node-id decoding;
+* the ``POST /walk`` admission limit, :data:`MAX_WALK_STEPS`;
 * per-tenant policy (:mod:`repro.server.tenants`): API-key resolution,
   unique-node billing and rate limits, answered as typed 401/429 bodies;
 * accounting: per-endpoint counts, ``nodes_served``, the ``repro_server_*``
   and ``repro_tenant_*`` metrics rendered by ``GET /metrics``;
 * the ``X-Repro-Span`` trace echo and the optional JSONL access log.
 
-Handler threads, the asyncio loop and its walk executor all call into one
-service, so one lock guards every mutation of its counters and tenant state.
-No I/O runs under that lock except the opt-in access-log line.
+Every handler thread calls into one service, so one lock guards every
+mutation of its counters and tenant state.  No I/O runs under that lock
+except the opt-in access-log line.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from ..obs import (
 )
 from ..walks.factory import make_walker
 from .tenants import API_KEY_HEADER, TenantPolicy, WallClock, build_registry
-from .wire import reachable_url
 
 #: ``(status, headers, body, close)`` — one response, ready for framing.
 Response = Tuple[int, List[Tuple[str, str]], bytes, bool]
@@ -85,9 +85,16 @@ _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 #: stay free, like profile peeks in the paper.
 _BILLABLE = {"/node", "/nodes", "/walk"}
 
-#: Cap on a server-side walk when the request names neither steps nor budget
-#: and the tenant is unlimited; without it one request could walk forever.
-_MAX_FREE_WALK_STEPS = 100_000
+#: The most steps, or the largest ``budget``, one ``POST /walk`` may ask for
+#: (published in ``/info`` as ``max_walk_steps``); larger requests answer a
+#: typed 400.  It is also the step cap of a walk that names neither and runs
+#: for an unlimited tenant, so no request can walk forever.  A budget that
+#: comes from the tenant's allowance is operator policy and is not capped.
+MAX_WALK_STEPS = 100_000
+
+#: The ``"server"`` field of ``/info`` and ``/stats``: the name of the
+#: frontend, which is always the thread-per-connection one.
+FRONTEND = "threaded"
 
 
 class _Refusal(Exception):
@@ -189,13 +196,9 @@ class GraphService:
             tests inject a :class:`~repro.api.ratelimit.SimulatedClock`).
         access_log: Optional path; one JSON line is appended per request.
 
-    The frontend that mounts the service sets :attr:`frontend` (reported by
-    ``/info`` and ``/stats``) and calls :meth:`close` when it shuts down.
+    The frontend that mounts the service calls :meth:`close` when it shuts
+    down.
     """
-
-    #: Name of the I/O adapter serving this instance (``"threaded"`` /
-    #: ``"async"``), set by the adapter.
-    frontend: Optional[str] = None
 
     def __init__(self, source, *, tenants=None, clock=None, access_log=None) -> None:
         self.graph_backend: GraphBackend = as_backend(source)
@@ -225,15 +228,6 @@ class GraphService:
     # ------------------------------------------------------------------
     # The one entry point
     # ------------------------------------------------------------------
-    @staticmethod
-    def runs_long(method: str, target: str) -> bool:
-        """Whether answering may take far longer than one fetch (``POST /walk``).
-
-        An event-loop frontend runs these requests on an executor thread and
-        everything else inline.
-        """
-        return method == "POST" and _path_of(target) == "/walk"
-
     def count_request(self, target: str) -> None:
         """Count one request that reached the service, answered or not."""
         endpoint = _endpoint_of(_path_of(target))
@@ -341,7 +335,8 @@ class GraphService:
             "name": backend.name,
             "nodes": len(backend),
             "backend": type(backend).__name__,
-            "server": self.frontend,
+            "server": FRONTEND,
+            "max_walk_steps": MAX_WALK_STEPS,
         }
         # Replay-backed servers publish the dump's recorded start so a remote
         # client can restart the recorded crawl without pulling the whole id
@@ -409,6 +404,10 @@ class GraphService:
                 continue
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise _bad_request(f'walk "{name}" must be a non-negative integer')
+            if optional and value > MAX_WALK_STEPS:
+                raise _bad_request(
+                    f'walk "{name}" {value} exceeds max_walk_steps={MAX_WALK_STEPS}'
+                )
         # Cap the walk's budget by what the tenant has left, so one request
         # cannot crawl past its allowance; billing happens after the walk
         # from its *unique* query count, matching the paper's cost model.
@@ -419,7 +418,7 @@ class GraphService:
         if remaining is not None:
             budget = remaining if budget is None else min(budget, remaining)
         if steps is None and budget is None:
-            steps = _MAX_FREE_WALK_STEPS
+            steps = MAX_WALK_STEPS
         try:
             result = self._run_walk(kernel, start, seed, steps, budget, burn_in, thinning)
         except (InvalidConfigurationError, InvalidStartNodeError, DeadEndError,
@@ -479,7 +478,7 @@ class GraphService:
         return {
             "format": WIRE_FORMAT,
             "version": WIRE_VERSION,
-            "server": self.frontend,
+            "server": FRONTEND,
             "endpoints": endpoints,
             "nodes_served": nodes_served,
             "tenants": tenants,
@@ -522,48 +521,6 @@ class GraphService:
         with self._lock:
             if self._access_log is not None:  # closed mid-shutdown
                 self._access_log.write(line)
-
-
-class ServiceHost:
-    """What both I/O adapters share around the service they host.
-
-    The lifecycle shape: a connectable :attr:`url`, :attr:`closed`, leak
-    tracking through :meth:`live_servers` and start/close as a context
-    manager.  Counts, ``nodes_served``, the metrics registry and
-    ``reset_stats`` live on the hosted :attr:`service`.  A host sets
-    ``service``, ``server_address``, ``_thread`` and ``_closed``, keeps its
-    own class-level ``_live`` set, and implements ``start`` / ``close``.
-    """
-
-    service: GraphService
-
-    @property
-    def url(self) -> str:
-        """A client-connectable URL for the bound address.
-
-        Wildcard binds (``0.0.0.0`` / ``::``) resolve to the matching
-        loopback — the literal wildcard is not connectable — and IPv6 hosts
-        are bracketed so the URL authority parses.
-        """
-        host, port = self.server_address[:2]
-        return reachable_url(host, port)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @classmethod
-    def live_servers(cls) -> list:
-        """Every server not yet closed (leak detection in the test suite)."""
-        return list(cls._live)
-
-    def __enter__(self):
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def as_service(source) -> GraphService:

@@ -7,7 +7,7 @@ crawler's own process.  Here the same policy objects
 :class:`~repro.api.ratelimit.RateLimitPolicy`) are promoted to the serving
 tier: a ``tenants.json`` file maps API keys to named tenants, each carrying
 its own budget, rate limit and usage counters, and the graph service
-(:mod:`repro.server.service`, behind both HTTP frontends) enforces them per
+(:mod:`repro.server.service`, behind the HTTP frontend) enforces them per
 request — a 429 with a typed JSON body instead of an in-process exception.
 
 The tenants file is versioned like every other format in the tree::

@@ -1,9 +1,8 @@
-"""HTTP/1.1 framing shared by both server frontends.
+"""HTTP/1.1 framing rules for the server frontend.
 
-The thread-per-connection :mod:`repro.server.app` and the asyncio
-:mod:`repro.server.aio` adapters put the same
-:class:`~repro.server.service.GraphService` on the wire, so every framing
-rule that carries correctness weight lives here once:
+:mod:`repro.server.app` puts the :class:`~repro.server.service.GraphService`
+on the wire; every framing rule that carries correctness weight lives here,
+apart from the socket handling, so it can be read and tested on its own:
 
 * :class:`LeanHeaders` — the case-insensitive raw-bytes header map the fast
   request path builds instead of an ``email.message.Message``;
@@ -12,8 +11,9 @@ rule that carries correctness weight lives here once:
   ``Content-Length`` values is the classic request-smuggling shape: whichever
   copy a proxy honours, this service must refuse rather than pick one);
 * :func:`body_length` — how many body bytes follow the headers: only a
-  plain non-negative ``Content-Length`` frames a body, and any request
-  ``Transfer-Encoding`` is refused (the CL/TE smuggling shape);
+  plain non-negative ``Content-Length`` of at most :data:`MAX_BODY` frames a
+  body, and any request ``Transfer-Encoding`` is refused (the CL/TE
+  smuggling shape);
 * :func:`interim_response` — the ``100 Continue`` an
   ``Expect: 100-continue`` client waits for, sent before the body is read;
 * :func:`render_response` / :func:`render_refusal` — the bytes of one
@@ -21,8 +21,9 @@ rule that carries correctness weight lives here once:
 * :func:`reachable_url` — a client-connectable URL for a bound address
   (wildcard binds resolved to loopback, IPv6 hosts bracketed).
 
-Both frontends also share the stdlib sanity caps: :data:`MAX_LINE` bytes per
-line and :data:`MAX_HEADERS` header lines per request.
+The request caps are :data:`MAX_LINE` bytes per line and
+:data:`MAX_HEADERS` header lines (the stdlib's sanity caps), and
+:data:`MAX_BODY` body bytes.
 """
 
 from __future__ import annotations
@@ -35,11 +36,23 @@ from typing import Dict, Iterable, Tuple
 MAX_LINE = 65536
 #: Hard cap on header lines per request (mirrors http.client's _MAXHEADERS).
 MAX_HEADERS = 100
+#: Hard cap on one request body, checked before any body byte is read.  The
+#: largest body an in-repo client builds is a ``POST /nodes`` id list: one id
+#: per walker in a scheduler round, or at most a served graph's whole id
+#: table (a warehouse ingest of a URL).  The largest graph an in-repo
+#: workload serves has 100k nodes (perfbench, and the benchmarks at their
+#: default scale); its id table encodes to at most
+#: 100,000 x 7 B (``"99999, "``) = 0.7 MB, and a ``POST /walk`` body is under
+#: 1 KB.  16 MiB is over 20x that worst case while still bounding what one
+#: request can make a handler thread allocate.
+MAX_BODY = 16 * 1024 * 1024
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 #: The JSON ``error`` token of each status: its lowercased ``HTTPStatus``
 #: name (400 ``bad_request``, 501 ``not_implemented``), as the service uses.
+#: 413 is pinned, because its name differs between Python versions.
 _TOKENS = {status.value: status.name.lower() for status in HTTPStatus}
+_TOKENS[413] = "body_too_large"
 
 
 class LeanHeaders:
@@ -113,7 +126,8 @@ def body_length(headers) -> int:
     bodies, so dispatching one would read its chunks as the next request —
     the CL/TE smuggling shape.  A ``Content-Length`` that is not a plain
     non-negative decimal answers 400 on every method: a negative value would
-    otherwise read "until EOF" and pin the connection.
+    otherwise read "until EOF" and pin the connection.  One above
+    :data:`MAX_BODY` answers 413 ``body_too_large`` before the body is read.
     """
     if headers.get("Transfer-Encoding") is not None:
         raise FramingError(501, "request Transfer-Encoding is not supported")
@@ -122,7 +136,12 @@ def body_length(headers) -> int:
         return 0
     if not (value.isascii() and value.isdigit()):
         raise FramingError(400, f"Content-Length {value!r} is not a non-negative integer")
-    return int(value)
+    length = int(value)
+    if length > MAX_BODY:
+        raise FramingError(
+            413, f"request body of {length} bytes exceeds the {MAX_BODY}-byte limit"
+        )
+    return length
 
 
 #: The interim response that releases an ``Expect: 100-continue`` body.
@@ -164,7 +183,8 @@ def render_refusal(error: FramingError) -> bytes:
     """The response to a request refused before routing; always closes.
 
     The JSON body's ``error`` token names the status (400 ``bad_request``,
-    431 ``request_header_fields_too_large``, 501 ``not_implemented``).
+    413 ``body_too_large``, 431 ``request_header_fields_too_large``, 501
+    ``not_implemented``).
     ``Connection: close`` means a smuggling probe can never leave ambiguous
     framing on a kept-alive socket.
     """

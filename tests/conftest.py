@@ -106,67 +106,32 @@ def graph_server():
         assert server.socket.fileno() == -1
 
 
-@pytest.fixture(scope="module")
-def async_graph_server():
-    """Factory booting in-process *asyncio* graph servers, torn down per module.
+@pytest.fixture
+def serve_service(graph_server):
+    """``serve(source, **service_options)``: a live server over a fresh service.
 
-    The asyncio twin of :func:`graph_server`: yields
-    ``serve(source, **kwargs) -> AsyncGraphServer`` (``host=`` / ``port=``
-    pass through), where ``source`` is a ready
-    :class:`~repro.server.GraphService` (tenants, clock, access log) or
-    anything an open service is built over.  Teardown closes every server
-    and asserts its event-loop thread and listening socket are gone.
-    """
-    from repro.server import serve_backend_async
-
-    servers = []
-
-    def serve(source, **kwargs):
-        server = serve_backend_async(source, **kwargs).start()
-        servers.append(server)
-        return server
-
-    yield serve
-    for server in servers:
-        server.close()
-        assert server.closed
-
-
-@pytest.fixture(params=["threaded", "async"])
-def serve_frontend(request):
-    """``serve(source, **service_options)`` on each frontend in turn.
-
-    Parametrizes the requesting test over both I/O adapters of the one
-    :class:`~repro.server.GraphService`; ``tenants=`` / ``clock=`` /
-    ``access_log=`` configure the service.  ``serve.frontend`` names the
-    adapter under test.
+    ``tenants=`` / ``clock=`` / ``access_log=`` configure the
+    :class:`~repro.server.GraphService` the threaded server hosts.
     """
     from repro.server import GraphService
 
-    factory = request.getfixturevalue(
-        "graph_server" if request.param == "threaded" else "async_graph_server"
-    )
-
     def serve(source, **service_options):
-        return factory(GraphService(source, **service_options))
+        return graph_server(GraphService(source, **service_options))
 
-    serve.frontend = request.param
     return serve
 
 
 @pytest.fixture(autouse=True, scope="session")
 def no_graph_server_leaks():
-    """Assert no graph server (threaded or asyncio) outlives the suite."""
+    """Assert no graph server outlives the suite."""
     yield
-    from repro.server import AsyncGraphServer, GraphHTTPServer
+    from repro.server import GraphHTTPServer
 
-    leaked = GraphHTTPServer.live_servers() + AsyncGraphServer.live_servers()
+    leaked = GraphHTTPServer.live_servers()
     assert not leaked, f"graph servers never closed: {leaked}"
     lingering = [
         thread for thread in threading.enumerate()
-        if (thread.name.startswith("repro-http")
-            or thread.name.startswith("repro-aio"))
-        and thread.is_alive()
+        if thread.name.startswith("repro-http") and thread.is_alive()
     ]
     assert not lingering, f"graph server threads leaked: {lingering}"
 

@@ -2,8 +2,8 @@
 
 One suite, parametrized over all shipped backends — InMemory, CSR,
 memory-mapped CSR snapshot, crawl-dump replay, the remote
-``HTTPGraphBackend`` driving a live in-process server (once per frontend:
-threaded and asyncio), the
+``HTTPGraphBackend`` driving a live in-process server (once open, once
+as a budgeted tenant whose every fetch is billed by the service), the
 ``ShardedBackend`` driving *three* live in-process shard servers through a
 consistent-hash ring (once unreplicated, once with replication factor 2),
 and the SQLite-served ``WarehouseBackend`` over an ingested full dump — asserting that they are *indistinguishable* through
@@ -57,7 +57,7 @@ import repro.obs as obs
 
 #: Every backend the library ships; the whole suite runs once per entry.
 BACKEND_KINDS = (
-    "memory", "csr", "mmap", "replay", "http", "async", "sharded",
+    "memory", "csr", "mmap", "replay", "http", "tenant", "sharded",
     "replicated", "warehouse",
 )
 
@@ -143,10 +143,33 @@ def http_server(conformance_graph, graph_server):
     return graph_server(InMemoryBackend(conformance_graph))
 
 
+#: API key of the conformance tenant served by ``tenant_server``.
+TENANT_KEY = "conformance-key"
+
+
 @pytest.fixture(scope="module")
-def async_http_server(conformance_graph, async_graph_server):
-    """One live in-process *asyncio* server over the conformance graph."""
-    return async_graph_server(InMemoryBackend(conformance_graph))
+def tenant_server(conformance_graph, graph_server):
+    """A live server whose one tenant's budget is the graph's size plus one.
+
+    A limited budget puts every fetch through the service's reserve/settle
+    billing (an unlimited tenant skips it).  Billing counts unique nodes, so
+    the graph's size covers every record; the one spare unit is the hold a
+    missing-node probe takes before its failed fetch refunds it (the budget
+    is checked before the node's existence, so an exhausted tenant learns
+    nothing about the graph).
+    """
+    from repro.server import GraphService
+
+    tenants = {
+        "format": "repro-graph-tenants",
+        "version": 1,
+        "tenants": {
+            TENANT_KEY: {"name": "conformance", "budget": len(conformance_graph) + 1},
+        },
+    }
+    return graph_server(
+        GraphService(InMemoryBackend(conformance_graph), tenants=tenants)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +213,7 @@ def replicated_cluster_manifest(snapshot_dir, graph_server, tmp_path_factory) ->
 @pytest.fixture(params=BACKEND_KINDS)
 def backend(
     request, conformance_graph, snapshot_dir, dump_path, http_server,
-    async_http_server, remote_cluster_manifest, replicated_cluster_manifest,
+    tenant_server, remote_cluster_manifest, replicated_cluster_manifest,
     warehouse_path,
 ):
     kind = request.param
@@ -204,10 +227,10 @@ def backend(
         made = load_crawl(dump_path)
     elif kind == "http":
         made = HTTPGraphBackend(http_server.url, timeout=10.0)
-    elif kind == "async":
-        # The one client against the asyncio adapter: which frontend frames
-        # the service must be invisible above the protocol.
-        made = HTTPGraphBackend(async_http_server.url, timeout=10.0)
+    elif kind == "tenant":
+        # Tenant billing must be invisible above the protocol: same
+        # records, same walks, same client-side accounting.
+        made = HTTPGraphBackend(tenant_server.url, timeout=10.0, api_key=TENANT_KEY)
     elif kind == "warehouse":
         from repro.warehouse import WarehouseBackend
 

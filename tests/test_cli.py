@@ -21,6 +21,11 @@ class TestParser:
         assert args.experiment == "figure6"
         assert args.seed == 0
 
+    def test_async_flag_is_hidden_but_accepted(self):
+        parser = build_parser()
+        assert "--async" not in parser.format_help()
+        assert parser.parse_args(["serve", "--async"]).async_server
+
     def test_rejects_unknown_experiment(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -276,7 +281,7 @@ class TestMain:
         assert main(["serve-cluster", "--source", str(tmp_path / "nowhere")]) == 2
         assert "no cluster manifest" in capsys.readouterr().err
 
-    def _spawn_cli(self, *args):
+    def _spawn_cli(self, *args, stderr=subprocess.STDOUT):
         repo_root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -285,7 +290,7 @@ class TestMain:
         env["PYTHONUNBUFFERED"] = "1"
         return subprocess.Popen(
             [sys.executable, "-m", "repro.cli", *args],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
         )
 
     def test_serve_shuts_down_gracefully_on_sigterm(self, tmp_path, capsys):
@@ -307,6 +312,46 @@ class TestMain:
             output, _ = process.communicate(timeout=30)
             assert process.returncode == 0, output
             assert "stopping" in output
+        finally:
+            killer.cancel()
+            if process.poll() is None:  # pragma: no cover - cleanup on failure
+                process.kill()
+
+    def test_serve_async_flag_still_boots_the_threaded_server(self, tmp_path, capsys):
+        """``serve --async`` names a removed frontend: it still boots (with
+        tenants), prints its banner, notes the deprecation on stderr and
+        serves the threaded frontend."""
+        import json
+        import signal
+        import urllib.request
+
+        snap = tmp_path / "snap"
+        assert main(["snapshot", "--dataset", "facebook_like", "--scale", "0.12",
+                     "--seed", "2", "--out", str(snap)]) == 0
+        capsys.readouterr()
+        tenants = tmp_path / "tenants.json"
+        tenants.write_text(json.dumps({
+            "format": "repro-graph-tenants", "version": 1,
+            "tenants": {"key-0": {"name": "t0"}},
+        }))
+        process = self._spawn_cli("serve", "--async", "--tenants", str(tenants),
+                                  "--source", str(snap), "--port", "0",
+                                  stderr=subprocess.PIPE)
+        killer = threading.Timer(60, process.kill)
+        killer.start()
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"at (http://[0-9.:]+)", banner)
+            assert match, f"serve --async printed no URL: {banner!r}"
+            request = urllib.request.Request(
+                match.group(1) + "/info", headers={"X-Api-Key": "key-0"}
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert json.load(response)["server"] == "threaded"
+            process.send_signal(signal.SIGTERM)
+            _, errors = process.communicate(timeout=30)
+            assert process.returncode == 0
+            assert "--async is deprecated" in errors
         finally:
             killer.cancel()
             if process.poll() is None:  # pragma: no cover - cleanup on failure

@@ -11,8 +11,8 @@ these tests pin both halves:
   id survives, each retry gets its own span), through replica failover
   (the span records which replicas were tried) and through a live
   replicated cluster's fan-out,
-* the scrape surface: ``GET /metrics`` parses as Prometheus text on both
-  frontends and ``GET /stats`` serves the same shape from both,
+* the scrape surface: ``GET /metrics`` parses as Prometheus text and
+  ``GET /stats`` carries per-endpoint latency histograms,
 * determinism: a traced walk is bit-identical to an untraced one.
 """
 
@@ -378,7 +378,7 @@ class TestFailoverTracing:
 
 
 # ----------------------------------------------------------------------
-# The scrape surface: /metrics and /stats on both frontends
+# The scrape surface: /metrics and /stats
 # ----------------------------------------------------------------------
 class TestMetricsEndpoint:
     def test_threaded_metrics_parse_and_count(self, obs_backend, graph_server):
@@ -393,10 +393,10 @@ class TestMetricsEndpoint:
         assert values['repro_server_request_ms_count{endpoint="/node"}'] == 1
         assert values["repro_server_nodes_served_total"] >= 1
 
-    def test_async_metrics_parse_and_count(self, obs_backend, async_graph_server):
+    def test_metrics_scrape_parses_and_counts(self, obs_backend, graph_server):
         import urllib.request
 
-        server = async_graph_server(obs_backend)
+        server = graph_server(obs_backend)
         node = obs_backend.node_ids()[0]
         with HTTPGraphBackend(server.url, timeout=5.0) as client:
             client.fetch(node)
@@ -406,33 +406,26 @@ class TestMetricsEndpoint:
         assert types["repro_server_requests_total"] == "counter"
         assert values['repro_server_requests_total{endpoint="/node",status="200"}'] == 1
 
-    def test_both_frontends_serve_the_same_stats_shape(
-        self, obs_backend, graph_server, async_graph_server
-    ):
-        threaded = graph_server(obs_backend)
-        aio = async_graph_server(obs_backend)
+    def test_stats_carry_endpoint_latency(self, obs_backend, graph_server):
+        server = graph_server(obs_backend)
         node = obs_backend.node_ids()[0]
-        payloads = {}
-        for kind, server in (("threaded", threaded), ("async", aio)):
-            with HTTPGraphBackend(server.url, timeout=5.0) as client:
-                client.fetch(node)
-                payloads[kind] = client._request("GET", "/stats")
-        assert set(payloads["threaded"]) == set(payloads["async"])
-        for kind, payload in payloads.items():
-            assert payload["server"] == kind
-            assert payload["endpoints"]["/node"] == 1
-            latency = payload["latency"]["endpoints"]["/node"]
-            assert latency["count"] == 1 and latency["sum"] >= 0
+        with HTTPGraphBackend(server.url, timeout=5.0) as client:
+            client.fetch(node)
+            payload = client._request("GET", "/stats")
+        assert payload["server"] == "threaded"
+        assert payload["endpoints"]["/node"] == 1
+        latency = payload["latency"]["endpoints"]["/node"]
+        assert latency["count"] == 1 and latency["sum"] >= 0
 
     def test_reset_stats_clears_registry_and_tenants_atomically(
-        self, obs_backend, async_graph_server
+        self, obs_backend, graph_server
     ):
         """reset_stats versus a scrape storm: every scrape sees either the
         pre-reset registry or a fully empty one — never a torn mix — and
         per-tenant usage resets in the same critical section."""
         import urllib.request
 
-        server = async_graph_server(
+        server = graph_server(
             GraphService(obs_backend, tenants=tenants_doc(key={"name": "erin"}))
         )
         node = obs_backend.node_ids()[0]
@@ -496,10 +489,10 @@ class TestMetricsEndpoint:
 # ----------------------------------------------------------------------
 class TestAccessLog:
     def test_entries_carry_duration_status_and_trace_id(
-        self, obs_backend, async_graph_server, tmp_path
+        self, obs_backend, graph_server, tmp_path
     ):
         log_path = tmp_path / "access.jsonl"
-        server = async_graph_server(GraphService(obs_backend, access_log=log_path))
+        server = graph_server(GraphService(obs_backend, access_log=log_path))
         node = obs_backend.node_ids()[0]
         tracer = Tracer()
         with HTTPGraphBackend(server.url, timeout=5.0) as client:

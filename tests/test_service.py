@@ -1,14 +1,14 @@
-"""Behavioural suite for the multi-tenant graph service on both frontends.
+"""Behavioural suite for the multi-tenant graph service.
 
-The conformance matrix already proves both frontends bit-identical to every
-other backend; this file covers the service's policy surface, each test run
-against the threaded and the asyncio adapter (the ``serve_frontend``
-fixture): tenants-file validation, API-key auth, server-side budget and
-rate-limit enforcement with typed 429 round trips, the ``POST /walk``
-endpoint (one round trip, fingerprint-verified against a client-driven
-walk), the ``GET /stats`` usage surface and JSONL access logs.  The sans-IO
+The conformance matrix already proves the server bit-identical to every
+other backend; this file covers the service's policy surface over a live
+server (the ``serve_service`` fixture): tenants-file validation, API-key
+auth, server-side budget and rate-limit enforcement with typed 429 round
+trips, the ``POST /walk`` endpoint (one round trip, fingerprint-verified
+against a client-driven walk, capped at ``MAX_WALK_STEPS``), the
+``GET /stats`` usage surface and JSONL access logs.  The sans-IO
 :class:`GraphService` is also driven directly, with no socket, and the
-asyncio server's lifecycle is pinned last.
+server's lifecycle is pinned last.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ from repro.exceptions import (
 )
 from repro.graphs import load_dataset
 from repro.server import (
-    AsyncGraphServer,
+    MAX_WALK_STEPS,
+    GraphHTTPServer,
     GraphService,
     TenantRegistry,
     WallClock,
     load_tenants,
+    serve_backend,
 )
 from repro.server.tenants import parse_tenants
 from repro.server.wire import LeanHeaders
@@ -132,8 +134,8 @@ class TestTenantEnforcement:
         return SimulatedClock()
 
     @pytest.fixture()
-    def server(self, backend, serve_frontend, clock):
-        return serve_frontend(
+    def server(self, backend, serve_service, clock):
+        return serve_service(
             backend,
             tenants=tenants_doc(
                 alice_key={"name": "alice", "budget": 5},
@@ -207,8 +209,8 @@ class TestTenantEnforcement:
 # ----------------------------------------------------------------------
 class TestServerSideWalks:
     @pytest.fixture()
-    def server(self, backend, serve_frontend):
-        return serve_frontend(backend)
+    def server(self, backend, serve_service):
+        return serve_service(backend)
 
     def test_remote_walk_matches_client_driven_walk(
         self, server, backend, conformance_graph
@@ -251,6 +253,39 @@ class TestServerSideWalks:
                 client.remote_walk("srw", "missing-node", budget=5)
             assert node_info.value.node == "missing-node"
 
+    @pytest.mark.parametrize("field", ["steps", "budget"])
+    def test_walk_above_the_step_cap_is_refused(self, server, conformance_graph, field):
+        start = conformance_graph.nodes()[0]
+        server.service.reset_stats()
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0) as client:
+            with pytest.raises(RemoteBackendError) as excinfo:
+                client.remote_walk("srw", start, **{field: MAX_WALK_STEPS + 1})
+            assert excinfo.value.status == 400
+            assert f"max_walk_steps={MAX_WALK_STEPS}" in str(excinfo.value)
+            # A budget at the cap is admitted.
+            payload = client.remote_walk("srw", start, steps=5, budget=MAX_WALK_STEPS)
+            assert payload["steps"] == 5
+        # The refusal ran no walk.
+        assert server.service.endpoint_counts["/walk"] == 2
+        assert server.service.stats_payload()["tenants"]["public"]["walks"] == 1
+
+    def test_info_publishes_the_walk_step_cap(self, server):
+        with HTTPGraphBackend(server.url, timeout=5.0) as client:
+            assert client.info()["max_walk_steps"] == MAX_WALK_STEPS == 100_000
+
+    def test_tenant_budget_above_the_cap_is_not_refused(
+        self, backend, serve_service, conformance_graph
+    ):
+        """The cap bounds what one request asks for; a tenant's allowance is
+        operator policy and may exceed it."""
+        server = serve_service(
+            backend, tenants=tenants_doc(key={"name": "ivy", "budget": MAX_WALK_STEPS + 1})
+        )
+        start = conformance_graph.nodes()[0]
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0, api_key="key") as ivy:
+            payload = ivy.remote_walk("srw", start, seed=GOLDEN_SEED, steps=10)
+        assert payload["steps"] == 10
+
     def test_threaded_server_serves_walks(self, backend, graph_server, conformance_graph):
         threaded = graph_server(backend)
         start = conformance_graph.nodes()[0]
@@ -260,9 +295,9 @@ class TestServerSideWalks:
         assert threaded.service.endpoint_counts["/walk"] == 1
 
     def test_walk_bills_the_tenant_and_respects_its_budget(
-        self, backend, serve_frontend, conformance_graph
+        self, backend, serve_service, conformance_graph
     ):
-        server = serve_frontend(
+        server = serve_service(
             backend, tenants=tenants_doc(key={"name": "carol", "budget": 70})
         )
         start = conformance_graph.nodes()[0]
@@ -290,8 +325,8 @@ class TestServerSideWalks:
 # GET /stats and the access log
 # ----------------------------------------------------------------------
 class TestObservability:
-    def test_stats_shape_and_server_totals(self, backend, serve_frontend):
-        server = serve_frontend(backend)
+    def test_stats_shape_and_server_totals(self, backend, serve_service):
+        server = serve_service(backend)
         with HTTPGraphBackend(server.url, timeout=5.0) as client:
             server.service.reset_stats()
             node = client.node_ids()[0]
@@ -299,7 +334,7 @@ class TestObservability:
             stats = client._request("GET", "/stats")
         assert stats["format"] == "repro-graph-http"
         assert stats["version"] == 1
-        assert stats["server"] == serve_frontend.frontend
+        assert stats["server"] == "threaded"
         assert stats["endpoints"]["/node"] == 1
         assert stats["nodes_served"] == 1
         assert set(stats["tenants"]) == {"public"}
@@ -307,10 +342,10 @@ class TestObservability:
         assert public["budget"] is None and public["rate_limit"] is None
 
     def test_access_log_is_one_json_line_per_request(
-        self, backend, serve_frontend, tmp_path
+        self, backend, serve_service, tmp_path
     ):
         log_path = tmp_path / "access.jsonl"
-        server = serve_frontend(
+        server = serve_service(
             backend,
             tenants=tenants_doc(key={"name": "dora"}),
             access_log=log_path,
@@ -443,33 +478,33 @@ class TestGraphServiceSansIO:
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_url_exists_before_start_and_close_is_idempotent(self, backend):
-        server = AsyncGraphServer(backend)
+        server = serve_backend(backend)
         assert server.url.startswith("http://127.0.0.1:")
-        assert server in AsyncGraphServer.live_servers()
+        assert server in GraphHTTPServer.live_servers()
         server.close()
         server.close()
         assert server.closed
-        assert server not in AsyncGraphServer.live_servers()
+        assert server not in GraphHTTPServer.live_servers()
 
     def test_context_manager_starts_and_closes(self, backend):
-        with AsyncGraphServer(backend) as server:
+        with serve_backend(backend) as server:
             with HTTPGraphBackend(server.url, timeout=5.0) as client:
-                assert client.info()["server"] == "async"
+                assert client.info()["server"] == "threaded"
         assert server.closed
 
     def test_start_twice_is_refused(self, backend):
-        with AsyncGraphServer(backend) as server:
+        with serve_backend(backend) as server:
             with pytest.raises(RuntimeError, match="already started"):
                 server.start()
 
     def test_closed_server_refuses_start(self, backend):
-        server = AsyncGraphServer(backend)
+        server = serve_backend(backend)
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
             server.start()
 
     def test_close_with_open_keepalive_connection_does_not_hang(self, backend):
-        server = AsyncGraphServer(backend).start()
+        server = serve_backend(backend).start()
         client = HTTPGraphBackend(server.url, timeout=5.0)
         assert client.info()["nodes"] == len(backend)
         # The client's keep-alive socket is still open; close() must force it

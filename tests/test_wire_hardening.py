@@ -1,7 +1,7 @@
 """Socket-level regressions for the wire's framing rules.
 
 Each test class pins one fix by reproducing the pre-fix failure mode at the
-socket level, against *both* server frontends (framing is shared through
+socket level, against a live server (the framing rules live in
 :mod:`repro.server.wire`):
 
 1. **EOF mid-headers** — a half-sent request (client shut its write side
@@ -21,13 +21,19 @@ socket level, against *both* server frontends (framing is shared through
    request smuggled inside it was dispatched as the next one on the
    connection; now any request ``Transfer-Encoding`` answers 501 + close.
 6. **One framing rule** — a negative or non-integer ``Content-Length``
-   answers 400 + close on every method and both frontends, and an
-   unsupported method answers 501 on both.  Every refusal is a JSON body
-   whose ``error`` token names its status.
-7. **Expect: 100-continue** — the threaded frontend used to buffer its
-   ``100 Continue`` until the final response and the asyncio one never sent
-   it, so a client holding its body back waited out its own timeout; now
-   both send it before reading the body.
+   answers 400 + close on every method, and an unsupported method answers
+   501.  Every refusal is a JSON body whose ``error`` token names its status.
+7. **Expect: 100-continue** — the server used to buffer its ``100 Continue``
+   until the final response, so a client holding its body back waited out
+   its own timeout; now it is sent before the body is read.
+8. **Bounded body** — any ``Content-Length`` used to be read in full, so one
+   request could pin a handler thread, and its memory, on a body of any
+   declared size; now a length above ``MAX_BODY`` answers 413
+   ``body_too_large`` + close before a single body byte is read.
+
+Every socket-level probe runs twice (the ``connect`` fixture): as the first
+request of a fresh connection, and as the request that follows a served
+``GET /info`` on a keep-alive connection.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from fakes import FAULT_LONG_STATUS, FlakyHTTPHandler
 from repro.api import HTTPGraphBackend, InMemoryBackend
 from repro.exceptions import RemoteBackendError
 from repro.graphs import complete_graph
-from repro.server import serve_backend, serve_backend_async
-from repro.server.wire import reachable_url
+from repro.server import serve_backend
+from repro.server.wire import MAX_BODY, LeanHeaders, body_length, reachable_url
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +58,72 @@ def backend_graph():
 
 
 @pytest.fixture(scope="module")
-def threaded_server(backend_graph, graph_server):
+def server(backend_graph, graph_server):
     return graph_server(InMemoryBackend(backend_graph))
 
 
-@pytest.fixture(scope="module")
-def async_server(backend_graph, async_graph_server):
-    return async_graph_server(InMemoryBackend(backend_graph))
+#: A complete keep-alive request, served before the probe on ``keepalive``
+#: connections.
+PRIMER = b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
-def _raw_exchange(server, payload: bytes, *, shut_wr: bool = False) -> bytes:
-    """Write raw bytes to the server, return everything it answers until EOF."""
-    host, port = server.server_address[:2]
-    with socket.create_connection((host, port), timeout=5) as sock:
+def _recv_until(sock, marker: bytes) -> bytes:
+    data = b""
+    while marker not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def _read_primer_response(sock) -> None:
+    """Consume exactly one keep-alive response (head plus framed body)."""
+    head, _, body = _recv_until(sock, b"\r\n\r\n").partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200"), head
+    assert b"connection: close" not in head.lower()
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed a keep-alive connection mid-body"
+        body += chunk
+    assert len(body) == length, "primer response over-ran its Content-Length"
+
+
+@pytest.fixture(params=["fresh", "keepalive"])
+def connect(request, server):
+    """``connect() -> socket`` whose next request is the probe under test.
+
+    ``fresh`` probes the first request of a new connection; ``keepalive``
+    first completes one ``GET /info`` on the same connection, so every
+    framing rule is also pinned mid-connection, where the handler has
+    already served a request and reads the probe from a reused buffer.
+    The primer's endpoint hit is wiped, so counters see only the probe.
+    """
+
+    def open_connection() -> socket.socket:
+        host, port = server.server_address[:2]
+        sock = socket.create_connection((host, port), timeout=5)
+        if request.param == "keepalive":
+            try:
+                sock.sendall(PRIMER)
+                _read_primer_response(sock)
+            except BaseException:
+                sock.close()
+                raise
+            server.service.reset_stats()
+        return sock
+
+    return open_connection
+
+
+def _raw_exchange(connect, payload: bytes, *, shut_wr: bool = False) -> bytes:
+    """Write raw bytes on a ``connect()`` socket, return its answer until EOF."""
+    with connect() as sock:
         sock.sendall(payload)
         if shut_wr:
             sock.shutdown(socket.SHUT_WR)
@@ -83,25 +142,17 @@ def _raw_exchange(server, payload: bytes, *, shut_wr: bool = False) -> bytes:
 class TestHalfSentRequest:
     HALF_REQUEST = b"GET /info HTTP/1.1\r\nHost: x\r\n"  # no terminating CRLF
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_half_sent_request_gets_no_response_and_no_dispatch(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_half_sent_request_gets_no_response_and_no_dispatch(self, server, connect):
         server.service.reset_stats()
-        answer = _raw_exchange(server, self.HALF_REQUEST, shut_wr=True)
+        answer = _raw_exchange(connect, self.HALF_REQUEST, shut_wr=True)
         # Pre-fix the EOF parsed like the end-of-headers blank line: the
         # request was dispatched and a full /info response came back.
         assert answer == b""
         assert sum(server.service.endpoint_counts.values()) == 0
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_immediate_disconnect_is_silent_too(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_immediate_disconnect_is_silent_too(self, server, connect):
         server.service.reset_stats()
-        answer = _raw_exchange(server, b"", shut_wr=True)
+        answer = _raw_exchange(connect, b"", shut_wr=True)
         assert answer == b""
         assert sum(server.service.endpoint_counts.values()) == 0
 
@@ -110,11 +161,7 @@ class TestHalfSentRequest:
 # Fix 2: conflicting duplicate headers answer 400 + Connection: close
 # ----------------------------------------------------------------------
 class TestDuplicateHeaders:
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_conflicting_content_length_is_refused(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_conflicting_content_length_is_refused(self, connect):
         # Pre-fix: last-wins kept Content-Length 5 and the server hung
         # reading a phantom body off a GET (the smuggling shape).  Post-fix
         # the refusal is immediate — the 5-second socket timeout in
@@ -123,34 +170,26 @@ class TestDuplicateHeaders:
             b"GET /info HTTP/1.1\r\nHost: x\r\n"
             b"Content-Length: 0\r\nContent-Length: 5\r\n\r\n"
         )
-        answer = _raw_exchange(server, probe)
+        answer = _raw_exchange(connect, probe)
         status_line = answer.split(b"\r\n", 1)[0]
         assert b"400" in status_line
         assert b"connection: close" in answer.lower()
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_conflicting_duplicates_of_any_header_are_refused(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_conflicting_duplicates_of_any_header_are_refused(self, connect):
         probe = (
             b"GET /info HTTP/1.1\r\nHost: x\r\n"
             b"X-Api-Key: alice\r\nX-Api-Key: bob\r\n\r\n"
         )
-        answer = _raw_exchange(server, probe)
+        answer = _raw_exchange(connect, probe)
         assert b"400" in answer.split(b"\r\n", 1)[0]
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_repeated_identical_headers_stay_accepted(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_repeated_identical_headers_stay_accepted(self, connect):
         probe = (
             b"GET /info HTTP/1.1\r\nHost: x\r\n"
             b"Content-Length: 0\r\nContent-Length: 0\r\n"
             b"Connection: close\r\n\r\n"
         )
-        answer = _raw_exchange(server, probe)
+        answer = _raw_exchange(connect, probe)
         assert b"200" in answer.split(b"\r\n", 1)[0]
         assert b"repro-graph-http" in answer
 
@@ -173,12 +212,10 @@ class TestReachableUrl:
         assert reachable_url("127.0.0.1", 1234) == "http://127.0.0.1:1234"
         assert reachable_url("example.org", 80) == "http://example.org:80"
 
-    @pytest.mark.parametrize("serve_fixture", ["graph_server", "async_graph_server"])
     def test_wildcard_bound_server_publishes_connectable_url(
-        self, serve_fixture, backend_graph, request
+        self, backend_graph, graph_server
     ):
-        serve = request.getfixturevalue(serve_fixture)
-        server = serve(InMemoryBackend(backend_graph), host="0.0.0.0")
+        server = graph_server(InMemoryBackend(backend_graph), host="0.0.0.0")
         assert server.url.startswith("http://127.0.0.1:")
         # The published URL must actually answer: pre-fix it embedded the
         # literal wildcard, which is not connectable on every platform.
@@ -186,13 +223,9 @@ class TestReachableUrl:
             assert client.info()["nodes"] == len(backend_graph.nodes())
 
     @pytest.mark.skipif(not socket.has_ipv6, reason="IPv6 unavailable")
-    @pytest.mark.parametrize("serve_fixture", ["graph_server", "async_graph_server"])
-    def test_ipv6_bound_server_publishes_bracketed_url(
-        self, serve_fixture, backend_graph, request
-    ):
-        serve = request.getfixturevalue(serve_fixture)
+    def test_ipv6_bound_server_publishes_bracketed_url(self, backend_graph, graph_server):
         try:
-            server = serve(InMemoryBackend(backend_graph), host="::1")
+            server = graph_server(InMemoryBackend(backend_graph), host="::1")
         except OSError:
             pytest.skip("IPv6 loopback not bindable here")
         assert server.url.startswith("http://[::1]:")
@@ -247,11 +280,7 @@ def _status_lines(answer: bytes):
 # Fix 5: request Transfer-Encoding is refused, never dispatched
 # ----------------------------------------------------------------------
 class TestTransferEncoding:
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_chunked_body_cannot_smuggle_a_request(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_chunked_body_cannot_smuggle_a_request(self, server, connect):
         server.service.reset_stats()
         # Pre-fix the chunked body was ignored (no Content-Length, so an
         # empty body): POST /nodes answered 400 and the smuggled GET /info
@@ -260,7 +289,7 @@ class TestTransferEncoding:
             b"POST /nodes HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
             b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n"
         )
-        answer = _raw_exchange(server, probe)
+        answer = _raw_exchange(connect, probe)
         assert len(_status_lines(answer)) == 1
         assert _status_lines(answer)[0].startswith(b"HTTP/1.1 501")
         assert b"connection: close" in answer.lower()
@@ -271,35 +300,26 @@ class TestTransferEncoding:
 # Fix 6: one rule for bad framing and unknown methods
 # ----------------------------------------------------------------------
 class TestOneFramingRule:
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
     @pytest.mark.parametrize("method", ["GET", "POST"])
     @pytest.mark.parametrize("length", [b"-5", b"five"])
-    def test_bad_content_length_is_refused_on_every_method(
-        self, frontend, method, length, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
-        # Pre-fix the threaded frontend answered a GET carrying
+    def test_bad_content_length_is_refused_on_every_method(self, method, length, connect):
+        # Pre-fix the server answered a GET carrying
         # ``Content-Length: -5`` with 200 (and the body rule ran per route).
         probe = (
             method.encode() + b" /info HTTP/1.1\r\nHost: x\r\n"
             b"Content-Length: " + length + b"\r\n\r\n"
         )
-        answer = _raw_exchange(server, probe)
+        answer = _raw_exchange(connect, probe)
         assert len(_status_lines(answer)) == 1
         assert _status_lines(answer)[0].startswith(b"HTTP/1.1 400")
         assert b"connection: close" in answer.lower()
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
     @pytest.mark.parametrize("method", ["DELETE", "PUT", "HEAD"])
-    def test_unsupported_method_answers_501(
-        self, frontend, method, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_unsupported_method_answers_501(self, method, connect):
         probe = method.encode() + b" /info HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-        answer = _raw_exchange(server, probe)
+        answer = _raw_exchange(connect, probe)
         assert _status_lines(answer)[0].startswith(b"HTTP/1.1 501")
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
     @pytest.mark.parametrize(
         "probe, token",
         [
@@ -309,11 +329,8 @@ class TestOneFramingRule:
         ],
         ids=["transfer-encoding", "content-length", "request-line"],
     )
-    def test_refusals_are_json_naming_their_status(
-        self, frontend, probe, token, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
-        answer = _raw_exchange(server, probe)
+    def test_refusals_are_json_naming_their_status(self, probe, token, connect):
+        answer = _raw_exchange(connect, probe)
         body = answer.split(b"\r\n\r\n", 1)[1]
         assert json.loads(body)["error"] == token
         assert b"connection: close" in answer.lower()
@@ -322,33 +339,18 @@ class TestOneFramingRule:
 # ----------------------------------------------------------------------
 # Fix 7: Expect: 100-continue gets its interim response before the body
 # ----------------------------------------------------------------------
-def _recv_until(sock, marker: bytes) -> bytes:
-    data = b""
-    while marker not in data:
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
 class TestExpectContinue:
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_100_continue_arrives_before_the_body_is_sent(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_100_continue_arrives_before_the_body_is_sent(self, connect):
         body = json.dumps({"nodes": [0, 1]}).encode()
         head = (
             b"POST /nodes HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
             b"Expect: 100-continue\r\nConnection: close\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
         )
-        host, port = server.server_address[:2]
-        with socket.create_connection((host, port), timeout=3) as sock:
+        with connect() as sock:
             sock.sendall(head)
-            # Pre-fix this read timed out on both frontends: the body is
-            # held back until the server answers.
+            # Pre-fix this read timed out: the client holds its body back
+            # until the server answers.
             interim = _recv_until(sock, b"\r\n\r\n")
             assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
             sock.sendall(body)
@@ -358,29 +360,62 @@ class TestExpectContinue:
         payload = json.loads(answer.split(b"\r\n\r\n", 1)[1])
         assert len(payload["records"]) == 2
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_no_interim_response_without_a_body(
-        self, frontend, threaded_server, async_server
-    ):
-        server = threaded_server if frontend == "threaded" else async_server
+    def test_no_interim_response_without_a_body(self, connect):
         probe = (
             b"GET /info HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
             b"Connection: close\r\n\r\n"
         )
-        answer = _raw_exchange(server, probe)
+        answer = _raw_exchange(connect, probe)
         assert [line[:12] for line in _status_lines(answer)] == [b"HTTP/1.1 200"]
+
+
+# ----------------------------------------------------------------------
+# Fix 8: a body above MAX_BODY is refused before it is read
+# ----------------------------------------------------------------------
+class TestBodyCap:
+    @pytest.mark.parametrize("length", [MAX_BODY + 1, 10**15])
+    def test_oversized_body_is_refused_unread(self, server, connect, length):
+        server.service.reset_stats()
+        # Only the head is sent.  Pre-fix the server started reading
+        # ``length`` bytes that never come (allocating them first), and the
+        # 5-second socket timeout in _raw_exchange expired with no answer.
+        probe = (
+            b"POST /nodes HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + str(length).encode() + b"\r\n\r\n"
+        )
+        answer = _raw_exchange(connect, probe)
+        assert len(_status_lines(answer)) == 1
+        assert _status_lines(answer)[0].startswith(b"HTTP/1.1 413")
+        assert b"connection: close" in answer.lower()
+        payload = json.loads(answer.split(b"\r\n\r\n", 1)[1])
+        assert payload["error"] == "body_too_large"
+        assert str(MAX_BODY) in payload["message"]
+        assert sum(server.service.endpoint_counts.values()) == 0
+
+    def test_oversized_expect_continue_gets_413_not_100(self, connect):
+        """The refusal replaces the interim response, so a client holding
+        its body back never sends a byte of it."""
+        probe = (
+            b"POST /nodes HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: " + str(MAX_BODY + 1).encode() + b"\r\n\r\n"
+        )
+        answer = _raw_exchange(connect, probe)
+        assert [line[:12] for line in _status_lines(answer)] == [b"HTTP/1.1 413"]
+
+    def test_body_at_the_cap_is_framed(self):
+        headers = LeanHeaders({b"content-length": str(MAX_BODY).encode()})
+        assert body_length(headers) == MAX_BODY
 
 
 # ----------------------------------------------------------------------
 # A source that cannot be opened leaves no listening socket behind
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("serve", [serve_backend, serve_backend_async])
-def test_bad_source_leaves_its_port_free(serve, tmp_path):
+def test_bad_source_leaves_its_port_free(tmp_path):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     with pytest.raises(FileNotFoundError) as excinfo:
-        serve(str(tmp_path / "no-such-snapshot"), port=port)
+        serve_backend(str(tmp_path / "no-such-snapshot"), port=port)
     # The traceback keeps the half-built server alive: had it bound before
     # opening the source, its listening socket would still hold the port.
     assert excinfo.value is not None
