@@ -366,16 +366,16 @@ class SamplingSession:
         of them (e.g. the return value of :meth:`run_ensemble`, whose pooled
         samples are used after an ensemble run).
         """
-        from ..estimation.estimators import estimate as estimate_aggregate
+        from ..estimation.estimators import estimate_records
 
         target = result if result is not None else self.last_result
         if target is None:
             raise ValueError("no walk result available; call run() first")
         if isinstance(target, (list, tuple)):
-            samples = [sample for walk in target for sample in walk.samples]
+            records = [record for walk in target for record in walk.sample_records]
         else:
-            samples = target.samples
-        return estimate_aggregate(samples, query, uniform_samples=uniform_samples)
+            records = target.sample_records
+        return estimate_records(records, query, uniform_samples=uniform_samples)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -288,7 +288,7 @@ def _drive_walk(args: argparse.Namespace, source, graph, start) -> None:
         return
     if args.walkers > 1:
         steps = sum(result.steps for result in results)
-        samples = sum(len(result.samples) for result in results)
+        samples = sum(result.num_samples for result in results)
         stopped = any(result.stopped_by_budget for result in results)
         print(f"Ensemble ({args.walkers} x {args.walker} over {backend_label} backend, "
               f"batched {getattr(args, 'engine', 'scalar')} scheduler): {steps} steps total, "
@@ -299,9 +299,9 @@ def _drive_walk(args: argparse.Namespace, source, graph, start) -> None:
     else:
         print(f"Walk ({args.walker} over {backend_label} backend): {result.steps} steps, "
               f"{result.unique_queries} unique / {result.total_queries} total queries, "
-              f"{len(result.samples)} samples"
+              f"{result.num_samples} samples"
               + (", stopped by budget" if result.stopped_by_budget else ""))
-        has_samples = bool(result.samples)
+        has_samples = result.num_samples > 0
 
     query = AggregateQuery.average_degree()
     if has_samples:

@@ -12,12 +12,17 @@ access-layer stack:
    across all walkers (and, with a :class:`~repro.api.backend.CSRBackend`,
    served through its vectorised batch path).
 2. **View-fed stepping** — walkers advance via
-   :meth:`~repro.walks.base.RandomWalk.step_with_view`, consuming the views
-   the batch already fetched: no per-walker ``query`` calls, not even cache
-   hits.  Each walker's kernel draws from its own rng in exactly the order
-   the sequential driver would, so a scheduled walk reproduces
-   ``RandomWalk.run`` bit for bit under the same seed — paths, samples and,
-   on the default cached stack, unique-query accounting.  (On a cache-less
+   :meth:`~repro.walks.base.RandomWalk.advance_with_view` (or, in the
+   uniform-steps loop, their kernels directly), consuming the views the
+   batch already fetched: no per-walker ``query`` calls, not even cache
+   hits.  Each lane appends plain values to its columnar
+   :class:`~repro.walks.base.WalkResult` — the node moved to, and one
+   ``(node, degree, attributes, step_index, query_cost)`` record per
+   sample — so a round builds no per-step objects.  Each walker's kernel
+   draws from its own rng in exactly the order the sequential driver would,
+   so a scheduled walk reproduces ``RandomWalk.run`` bit for bit under the
+   same seed — paths, samples and, on the default cached stack, unique-query
+   accounting.  (On a cache-less
    stack every issued query bills, so the scheduler's fewer calls genuinely
    cost less than ``run``'s per-step re-queries; budgets are still enforced
    exactly, and revisited frontiers are re-billed each round.)
@@ -45,15 +50,8 @@ from ..exceptions import (
     InvalidStartNodeError,
     QueryBudgetExceededError,
 )
-from ..types import NodeId, Sample, Transition
-from ..walks.base import (
-    RandomWalk,
-    WalkResult,
-    budget_exhausted,
-    budget_is_unlimited,
-    budget_limit,
-    implicit_step_cap,
-)
+from ..types import NodeId
+from ..walks.base import RandomWalk, WalkResult, implicit_step_cap, query_budget
 
 #: How the scheduler reacts when a walker reaches a node with no neighbors.
 DEAD_END_ACTIONS = ("raise", "stop", "restart")
@@ -154,15 +152,15 @@ class WalkScheduler:
         if not walkers:
             return []
         per_walker_steps = self._per_walker_steps(steps, len(walkers))
-        unbounded = [cap is None for cap in per_walker_steps]
+        budget = query_budget(self.api)
         implicit_cap = None
-        if any(unbounded):
-            if budget_is_unlimited(self.api):
+        if any(cap is None for cap in per_walker_steps):
+            if budget.unlimited:
                 raise ValueError(
                     "schedule would never terminate: provide steps (per walker "
                     "or shared) or an API with a finite query budget"
                 )
-            implicit_cap = implicit_step_cap(budget_limit(self.api))
+            implicit_cap = implicit_step_cap(budget.limit)
 
         lanes = [
             _Lane(walker=walker, max_steps=cap)
@@ -189,16 +187,19 @@ class WalkScheduler:
         except QueryBudgetExceededError:
             stopped = True
         if not stopped:
+            query_cost = self.api.unique_queries
             for lane, start in zip(lanes, starts):
                 lane.walker.reset()
                 view = views[start]
-                if view.degree == 0:
+                if not view.neighbors:
                     self._handle_dead_start(lane, start)
                     continue
                 lane.walker.start_from_view(start, view)
                 lane.result.path.append(start)
                 if burn_in == 0:
-                    lane.result.samples.append(self._make_sample(view, 0))
+                    lane.result.sample_records.append(
+                        (view.node, len(view.neighbors), view.attributes, 0, query_cost)
+                    )
 
         # The common schedule — one shared integer step budget, default
         # dead-end behaviour, every lane placed — runs on a tight loop that
@@ -225,7 +226,7 @@ class WalkScheduler:
                 break
             if implicit_cap is not None and round_index >= implicit_cap:
                 break
-            if any(lane.max_steps is None for lane in active) and budget_exhausted(self.api):
+            if any(lane.max_steps is None for lane in active) and budget.exhausted:
                 stopped = True
                 break
             round_index += 1
@@ -237,12 +238,11 @@ class WalkScheduler:
                 for lane in stepping:
                     view = views[lane.walker.current]
                     try:
-                        transition = lane.walker.step_with_view(view)
+                        target = lane.walker.advance_with_view(view)
                     except DeadEndError:
                         self._handle_dead_end(lane)
                         continue
-                    lane.result.transitions.append(transition)
-                    lane.result.path.append(transition.target)
+                    lane.result.path.append(target)
                     lane.steps_taken += 1
             except QueryBudgetExceededError:
                 # A kernel-internal metadata query (GNRW grouping prefetch,
@@ -273,24 +273,30 @@ class WalkScheduler:
                 )
 
             # 3. Replant restarted lanes and emit this round's samples.
+            query_cost = self.api.unique_queries
             for lane in active:
                 if not lane.active:
                     continue
+                result = lane.result
                 if lane.pending_restart is not None:
                     node = lane.pending_restart
                     lane.pending_restart = None
                     view = views[node]
-                    if view.degree == 0:
+                    if not view.neighbors:
                         self._handle_dead_end(lane)  # isolated restart node
                         continue
                     lane.walker.reset()
                     lane.walker.start_from_view(node, view)
-                    lane.result.path.append(node)
+                    if result.path:
+                        result.restarts.append(len(result.path))
+                    result.path.append(node)
                 else:
                     view = views[lane.walker.current]
                 step = lane.steps_taken
                 if step >= burn_in and (step - burn_in) % thinning == 0:
-                    lane.result.samples.append(self._make_sample(view, step))
+                    result.sample_records.append(
+                        (view.node, len(view.neighbors), view.attributes, step, query_cost)
+                    )
 
         return self._finalize(lanes, stopped)
 
@@ -355,8 +361,7 @@ class WalkScheduler:
         query_many = api.query_many
         slots = [
             (lane.walker.kernel, lane.walker.rng, lane.walker.state,
-             lane.result.transitions.append, lane.result.path.append,
-             lane.result.samples.append)
+             lane.result.path.append, lane.result.sample_records.append)
             for lane in lanes
         ]
         registry = obs.metrics()
@@ -365,12 +370,11 @@ class WalkScheduler:
             round_started = time.perf_counter() if registry is not None else 0.0
             frontier.clear()
             try:
-                for kernel, rng, state, add_transition, add_path, _ in slots:
+                for kernel, rng, state, add_path, _ in slots:
                     view = views[state.current]
                     if not view.neighbors:
                         raise DeadEndError(state.current)
                     target = kernel.choose(state, view, rng)
-                    add_transition(Transition(state.current, target, state.step_index))
                     kernel.observe(state, target, view)
                     state.advance(target)
                     add_path(target)
@@ -397,16 +401,10 @@ class WalkScheduler:
                 )
             if round_index >= burn_in and (round_index - burn_in) % thinning == 0:
                 query_cost = api.unique_queries
-                for _, _, state, _, _, add_sample in slots:
+                for _, _, state, _, add_sample in slots:
                     view = views[state.current]
                     add_sample(
-                        Sample(
-                            node=view.node,
-                            degree=view.degree,
-                            attributes=dict(view.attributes),
-                            step_index=round_index,
-                            query_cost=query_cost,
-                        )
+                        (view.node, len(view.neighbors), view.attributes, round_index, query_cost)
                     )
         for lane in lanes:
             lane.steps_taken = steps
@@ -436,15 +434,6 @@ class WalkScheduler:
             return
         if frontier:
             memo.update(zip(frontier, self.api.query_many(frontier)))
-
-    def _make_sample(self, view: NodeView, step_index: int) -> Sample:
-        return Sample(
-            node=view.node,
-            degree=view.degree,
-            attributes=dict(view.attributes),
-            step_index=step_index,
-            query_cost=self.api.unique_queries,
-        )
 
     def _retire_finished(self, lanes: Sequence[_Lane]) -> None:
         for lane in lanes:

@@ -59,7 +59,7 @@ from ..api.interface import SocialNetworkAPI
 from ..api.middleware import BackendAPI, BudgetLayer, CacheLayer, QueryStats, iter_layers
 from ..exceptions import DeadEndError, InvalidStartNodeError, VectorizationError
 from ..rng import SeedLike, lineage_rng
-from ..types import NodeId, Sample, Transition
+from ..types import NodeId
 from ..walks.base import WalkResult, implicit_step_cap
 
 #: ``previous`` value of a walker that has not moved yet (CSR indices are
@@ -462,10 +462,11 @@ class VectorEnsembleResult:
     ``paths[r, i]`` is walker ``i``'s CSR index after round ``r`` (row 0 is
     the starts; a run killed by the budget while billing the starts has zero
     rows).  ``sample_rounds`` holds ``(round_index, unique_queries_after)``
-    for every round that emitted samples — the per-walker
-    :class:`~repro.types.Sample` objects are materialised lazily by
-    :meth:`to_walk_results` so a million-walker run never builds them unless
-    asked.
+    for every round that emitted samples.  Per-walker results exist only when
+    :meth:`to_walk_results` is called, and even then as the scalar drivers'
+    columnar records: no :class:`~repro.types.Sample` or
+    :class:`~repro.types.Transition` is built unless a caller reads
+    ``samples`` / ``transitions`` off a result.
     """
 
     paths: np.ndarray
@@ -500,37 +501,23 @@ class VectorEnsembleResult:
         return np.bincount(self.paths.ravel(), minlength=n_nodes)
 
     def to_walk_results(self) -> List[WalkResult]:
-        """Materialise one scalar-compatible :class:`WalkResult` per walker."""
+        """One scalar-compatible, columnar :class:`WalkResult` per walker."""
         indptr = self.backend.indptr
         attributes = self.backend.node_attributes
-        rounds = int(self.paths.shape[0])
+        rows = [round_index for round_index, _ in self.sample_rounds]
+        sampled = self.paths[rows]
+        degrees = (indptr[sampled + 1] - indptr[sampled]).T.tolist()
         results: List[WalkResult] = []
         for w in range(self.num_walkers):
-            index_path = self.paths[:, w]
-            path = self.backend.to_node_ids(index_path)
-            transitions = [
-                Transition(source=path[r], target=path[r + 1], step_index=r)
-                for r in range(rounds - 1)
-            ]
-            samples: List[Sample] = []
-            for round_index, query_cost in self.sample_rounds:
+            path = self.backend.to_node_ids(self.paths[:, w])
+            records = []
+            for (round_index, query_cost), degree in zip(self.sample_rounds, degrees[w]):
                 node = path[round_index]
-                i = int(index_path[round_index])
-                node_attrs = attributes.get(node)
-                samples.append(
-                    Sample(
-                        node=node,
-                        degree=int(indptr[i + 1] - indptr[i]),
-                        attributes=dict(node_attrs) if node_attrs else {},
-                        step_index=round_index,
-                        query_cost=query_cost,
-                    )
-                )
+                records.append((node, degree, attributes.get(node) or {}, round_index, query_cost))
             results.append(
                 WalkResult(
                     path=path,
-                    samples=samples,
-                    transitions=transitions,
+                    sample_records=records,
                     unique_queries=self.unique_queries,
                     total_queries=self.total_queries,
                     stopped_by_budget=self.stopped_by_budget,

@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import InsufficientSamplesError, InvalidConfigurationError
-from ..types import Sample
+from ..types import Sample, SampleRecord
 from .aggregates import AggregateKind, AggregateQuery
 
 
@@ -42,9 +42,16 @@ class Estimate:
         return (self.value - half, self.value + half)
 
 
-def _validate_samples(samples: Sequence[Sample]) -> None:
+def _validate_samples(samples: Sequence) -> None:
     if not samples:
         raise InsufficientSamplesError("no samples provided")
+
+
+def _records(samples: Sequence[Sample]) -> List[SampleRecord]:
+    return [
+        (sample.node, sample.degree, sample.attributes, sample.step_index, sample.query_cost)
+        for sample in samples
+    ]
 
 
 def reweighted_mean(
@@ -57,25 +64,29 @@ def reweighted_mean(
     conditional aggregates the filter is applied inside the ratio so both the
     numerator and the denominator are restricted to matching nodes.
     """
-    _validate_samples(samples)
+    return _reweighted_mean(_records(samples), query)
+
+
+def _reweighted_mean(records: Sequence[SampleRecord], query: AggregateQuery) -> Estimate:
+    _validate_samples(records)
     numerator = 0.0
     denominator = 0.0
     ratios: List[float] = []
     weights: List[float] = []
-    for sample in samples:
-        if sample.degree <= 0:
+    for node, degree, attributes, _, _ in records:
+        if degree <= 0:
             # A degree-0 node can never be reached by a walk; skip defensively.
             continue
-        weight = 1.0 / sample.degree
+        weight = 1.0 / degree
         if query.kind is AggregateKind.PROPORTION:
-            value = 1.0 if query.matches(sample.node, sample.attributes) else 0.0
-        elif query.predicate is not None and not query.matches(sample.node, sample.attributes):
+            value = 1.0 if query.matches(node, attributes) else 0.0
+        elif query.predicate is not None and not query.matches(node, attributes):
             value = 0.0
             if query.kind is AggregateKind.AVERAGE:
                 # Conditional averages ignore non-matching nodes entirely.
                 continue
         else:
-            value = query.measure_value(sample.node, sample.attributes, sample.degree)
+            value = query.measure_value(node, attributes, degree)
         numerator += weight * value
         denominator += weight
         ratios.append(value)
@@ -89,17 +100,21 @@ def reweighted_mean(
 
 def uniform_mean(samples: Sequence[Sample], query: AggregateQuery) -> Estimate:
     """Plain sample mean for uniformly distributed samples (MHRW)."""
-    _validate_samples(samples)
+    return _uniform_mean(_records(samples), query)
+
+
+def _uniform_mean(records: Sequence[SampleRecord], query: AggregateQuery) -> Estimate:
+    _validate_samples(records)
     values: List[float] = []
-    for sample in samples:
+    for node, degree, attributes, _, _ in records:
         if query.kind is AggregateKind.PROPORTION:
-            values.append(1.0 if query.matches(sample.node, sample.attributes) else 0.0)
-        elif query.predicate is not None and not query.matches(sample.node, sample.attributes):
+            values.append(1.0 if query.matches(node, attributes) else 0.0)
+        elif query.predicate is not None and not query.matches(node, attributes):
             if query.kind is AggregateKind.AVERAGE:
                 continue
             values.append(0.0)
         else:
-            values.append(query.measure_value(sample.node, sample.attributes, sample.degree))
+            values.append(query.measure_value(node, attributes, degree))
     if not values:
         raise InsufficientSamplesError("no usable samples after filtering")
     array = np.asarray(values, dtype=float)
@@ -125,7 +140,21 @@ def estimate(
             COUNT aggregates (a third party typically knows or estimates it
             out of band).
     """
-    base = uniform_mean(samples, query) if uniform_samples else reweighted_mean(samples, query)
+    return estimate_records(_records(samples), query, uniform_samples, population_size)
+
+
+def estimate_records(
+    records: Sequence[SampleRecord],
+    query: AggregateQuery,
+    uniform_samples: bool = False,
+    population_size: Optional[int] = None,
+) -> Estimate:
+    """:func:`estimate` over a walk's :data:`~repro.types.SampleRecord`
+    column (``WalkResult.sample_records``), building no ``Sample``."""
+    if uniform_samples:
+        base = _uniform_mean(records, query)
+    else:
+        base = _reweighted_mean(records, query)
     if query.kind in (AggregateKind.AVERAGE, AggregateKind.PROPORTION):
         return base
     if population_size is None:

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..api.session import SamplingSession
 from ..engine.scheduler import WalkScheduler
 from ..estimation.aggregates import AggregateQuery
-from ..estimation.estimators import estimate as estimate_aggregate
+from ..estimation.estimators import estimate_records
 from ..estimation.ground_truth import ground_truth
 from ..exceptions import InsufficientSamplesError
 from ..graphs.graph import Graph
@@ -186,10 +186,10 @@ def _estimate_value(
     result: WalkResult, query: AggregateQuery, uniform_samples: bool
 ) -> Optional[float]:
     """Turn a walk's samples into an estimate (None when unusable)."""
-    if not result.samples:
+    if not result.num_samples:
         return None
     try:
-        return estimate_aggregate(result.samples, query, uniform_samples=uniform_samples).value
+        return estimate_records(result.sample_records, query, uniform_samples=uniform_samples).value
     except InsufficientSamplesError:
         return None
 

@@ -435,7 +435,7 @@ class GraphService:
             "unique_queries": result.unique_queries,
             "total_queries": result.total_queries,
             "stopped_by_budget": result.stopped_by_budget,
-            "samples": len(result.samples),
+            "samples": result.num_samples,
         }, result.unique_queries
 
     def _run_walk(self, kernel, start, seed, steps, budget, burn_in, thinning):

@@ -67,6 +67,13 @@ class Sample:
             return default
 
 
+#: One collected sample as the walk drivers record it: the fields of
+#: :class:`Sample` in order, ``(node, degree, attributes, step_index,
+#: query_cost)``, with ``attributes`` the served view's mapping held by
+#: reference rather than copied.
+SampleRecord = Tuple[NodeId, int, Mapping[str, Any], int, int]
+
+
 def as_edge_key(u: NodeId, v: NodeId) -> Edge:
     """Return the directed edge key ``(u, v)`` used by history bookkeeping.
 

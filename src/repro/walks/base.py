@@ -13,43 +13,58 @@ one-walker driver), while :meth:`RandomWalk.step_with_view` advances off a
 view fetched by someone else — the hook the batched
 :class:`~repro.engine.scheduler.WalkScheduler` uses to run many walkers in
 lockstep without issuing per-walker queries.
+
+Every driver (:meth:`RandomWalk.run`, both scheduler loops and the vector
+engine's :meth:`~repro.engine.vector.VectorEnsembleResult.to_walk_results`)
+writes the same columnar :class:`WalkResult`: the path as node ids and one
+plain :data:`~repro.types.SampleRecord` tuple per sample.  The drivers step
+through :meth:`RandomWalk.advance_with_view`, which returns the target node
+only; :class:`~repro.types.Transition` and :class:`~repro.types.Sample`
+objects are built from the columns when a caller first reads
+``result.transitions`` / ``result.samples``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
+from ..api.budget import QueryBudget
 from ..api.interface import NodeView, SocialNetworkAPI
+from ..api.middleware import APILayer, BackendAPI
 from ..exceptions import DeadEndError, InvalidStartNodeError, QueryBudgetExceededError
 from ..rng import SeedLike, make_rng
-from ..types import NodeId, Sample, Transition
+from ..types import NodeId, Sample, SampleRecord, Transition
 from .kernels import TransitionKernel, WalkState
 
 
-def budget_is_unlimited(api: SocialNetworkAPI) -> bool:
-    """Whether the stack has no finite unique-query budget."""
+def query_budget(api: SocialNetworkAPI) -> QueryBudget:
+    """The stack's unique-query budget (a fresh unlimited one if it has none).
+
+    Looking ``api.budget`` up walks the middleware ``__getattr__`` chain, so
+    the walk drivers resolve it once per walk and then read ``limit`` /
+    ``exhausted`` off the object.
+    """
     budget = getattr(api, "budget", None)
-    if budget is None:
-        return True
-    return bool(getattr(budget, "unlimited", False))
+    return budget if budget is not None else QueryBudget(None)
 
 
-def budget_limit(api: SocialNetworkAPI) -> Optional[int]:
-    """The stack's unique-query limit, or ``None``."""
-    budget = getattr(api, "budget", None)
-    if budget is None:
-        return None
-    return getattr(budget, "limit", None)
+def unique_counter(api: SocialNetworkAPI) -> Callable[[], int]:
+    """A zero-argument reader of ``api.unique_queries``.
 
-
-def budget_exhausted(api: SocialNetworkAPI) -> bool:
-    """Whether the stack's budget has been fully spent."""
-    budget = getattr(api, "budget", None)
-    if budget is None:
-        return False
-    return bool(getattr(budget, "exhausted", False))
+    Every middleware layer forwards the counter to the one
+    :class:`~repro.api.middleware.QueryStats` at the bottom of the stack;
+    reading that directly skips one property call per layer.  Any other API
+    is read through its own property.
+    """
+    layer = api
+    while isinstance(layer, APILayer) and type(layer).unique_queries is APILayer.unique_queries:
+        layer = layer.inner
+    if isinstance(layer, BackendAPI) and type(layer).unique_queries is BackendAPI.unique_queries:
+        return partial(getattr, layer.stats, "unique")
+    return partial(getattr, api, "unique_queries")
 
 
 def implicit_step_cap(limit: Optional[int]) -> int:
@@ -61,12 +76,25 @@ def implicit_step_cap(limit: Optional[int]) -> int:
 
 @dataclass
 class WalkResult:
-    """Everything produced by one walk execution.
+    """Everything produced by one walk execution, stored as columns of values.
+
+    The drivers append each visited node to ``path`` and each collected
+    sample to ``sample_records`` as one
+    :data:`~repro.types.SampleRecord` tuple ``(node, degree, attributes,
+    step_index, query_cost)``, whose ``attributes`` is the served view's
+    mapping held by reference (never the view itself, whose neighbor tuple
+    must not outlive the cache).  :attr:`samples` and :attr:`transitions`
+    are built from those columns on first access, so a crawl that is only
+    counted or estimated from never constructs a
+    :class:`~repro.types.Sample` or :class:`~repro.types.Transition`.
 
     Attributes:
-        path: The full node sequence visited by the walk (including the start).
-        samples: Samples emitted after burn-in / thinning.
-        transitions: The individual transitions of the walk.
+        path: The full node sequence visited by the walk (including the start
+            and any restart nodes).
+        sample_records: One record per sample emitted after burn-in /
+            thinning.
+        restarts: Indices into ``path`` where a dead-end restart replanted
+            the walk; no transition leads into these nodes.
         unique_queries: Unique query cost at the end of the walk.
         total_queries: Total query calls (cache hits included).
         stopped_by_budget: Whether the walk ended because the budget ran out
@@ -74,8 +102,8 @@ class WalkResult:
     """
 
     path: List[NodeId] = field(default_factory=list)
-    samples: List[Sample] = field(default_factory=list)
-    transitions: List[Transition] = field(default_factory=list)
+    sample_records: List[SampleRecord] = field(default_factory=list)
+    restarts: List[int] = field(default_factory=list)
     unique_queries: int = 0
     total_queries: int = 0
     stopped_by_budget: bool = False
@@ -83,11 +111,38 @@ class WalkResult:
     @property
     def steps(self) -> int:
         """Number of transitions performed."""
-        return len(self.transitions)
+        return max(0, len(self.path) - 1 - len(self.restarts))
+
+    @property
+    def num_samples(self) -> int:
+        """Number of samples collected (without building them)."""
+        return len(self.sample_records)
+
+    @cached_property
+    def samples(self) -> List[Sample]:
+        """Samples emitted after burn-in / thinning (built on first access)."""
+        return [
+            Sample(node, degree, dict(attributes), step_index, query_cost)
+            for node, degree, attributes, step_index, query_cost in self.sample_records
+        ]
+
+    @cached_property
+    def transitions(self) -> List[Transition]:
+        """The individual transitions of the walk (built on first access).
+
+        Step indices count from each (re)start, as the walker's state does.
+        """
+        path = self.path
+        bounds = [0, *self.restarts, len(path)]
+        return [
+            Transition(path[i], path[i + 1], i - begin)
+            for begin, end in zip(bounds, bounds[1:])
+            for i in range(begin, end - 1)
+        ]
 
     def sample_nodes(self) -> List[NodeId]:
         """Return the node ids of the collected samples."""
-        return [sample.node for sample in self.samples]
+        return [record[0] for record in self.sample_records]
 
     def visit_counts(self) -> Dict[NodeId, int]:
         """Return how many times each node appears in the path."""
@@ -185,17 +240,23 @@ class RandomWalk:
         """Perform one transition off an externally fetched view of the
         current node (no API query issued by this method itself; the kernel
         may still query for metadata, e.g. GNRW grouping prefetch)."""
-        if self._state.current is None:
+        source = self._state.current
+        step_index = self._state.step_index
+        target = self.advance_with_view(view)
+        return Transition(source=source, target=target, step_index=step_index)
+
+    def advance_with_view(self, view: NodeView) -> NodeId:
+        """:meth:`step_with_view` without the :class:`Transition`: perform
+        the transition and return the node moved to (the drivers' form)."""
+        state = self._state
+        if state.current is None:
             raise InvalidStartNodeError("walk has not been started; call start() first")
-        if view.degree == 0:
-            raise DeadEndError(self._state.current)
-        next_node = self._choose_next(view)
-        transition = Transition(
-            source=self._state.current, target=next_node, step_index=self._state.step_index
-        )
-        self._on_transition(self._state.current, next_node, view)
-        self._state.advance(next_node)
-        return transition
+        if not view.neighbors:
+            raise DeadEndError(state.current)
+        target = self._choose_next(view)
+        self._on_transition(state.current, target, view)
+        state.advance(target)
+        return target
 
     def walk(self, start_node: NodeId, steps: int) -> WalkResult:
         """Run ``steps`` transitions from ``start_node`` (budget permitting)."""
@@ -232,52 +293,56 @@ class RandomWalk:
             raise ValueError("thinning must be at least 1")
         if burn_in < 0:
             raise ValueError("burn_in must be non-negative")
-        if max_steps is None and max_samples is None and self._budget_is_unlimited():
+        api = self.api
+        budget = query_budget(api)
+        if max_steps is None and max_samples is None and budget.unlimited:
             raise ValueError(
                 "walk would never terminate: provide max_steps, max_samples, "
                 "or an API with a finite query budget"
             )
-        implicit_cap = None
-        if max_steps is None:
-            limit = self._budget_limit()
-            if limit is not None:
-                implicit_cap = implicit_step_cap(limit)
+        step_cap = max_steps
+        if max_steps is None and budget.limit is not None:
+            step_cap = implicit_step_cap(budget.limit)
         self.reset()
         result = WalkResult()
         try:
-            start_view = self.start(start_node)
+            view = self.start(start_node)
         except QueryBudgetExceededError:
             result.stopped_by_budget = True
             self._finalize(result)
             return result
-        result.path.append(start_node)
+        query = api.query
+        unique = unique_counter(api)
+        state = self._state
+        records = result.sample_records
+        add_node = result.path.append
+        add_sample = records.append
+        add_node(start_node)
         if burn_in == 0:
-            result.samples.append(self._make_sample(start_view, step_index=0))
+            add_sample((view.node, len(view.neighbors), view.attributes, 0, unique()))
         while True:
-            if max_steps is not None and self._state.step_index >= max_steps:
+            step = state.step_index
+            if step_cap is not None and step >= step_cap:
                 break
-            if implicit_cap is not None and self._state.step_index >= implicit_cap:
+            if max_samples is not None and len(records) >= max_samples:
                 break
-            if max_samples is not None and len(result.samples) >= max_samples:
-                break
-            if max_steps is None and self._budget_exhausted():
+            if max_steps is None and budget.exhausted:
                 result.stopped_by_budget = True
                 break
             try:
-                transition = self.step()
+                target = self.advance_with_view(query(state.current))
             except QueryBudgetExceededError:
                 result.stopped_by_budget = True
                 break
-            result.transitions.append(transition)
-            result.path.append(transition.target)
-            step = transition.step_index + 1
+            add_node(target)
+            step += 1
             if step >= burn_in and (step - burn_in) % thinning == 0:
                 try:
-                    view = self.api.query(transition.target)
+                    view = query(target)
                 except QueryBudgetExceededError:
                     result.stopped_by_budget = True
                     break
-                result.samples.append(self._make_sample(view, step_index=step))
+                add_sample((view.node, len(view.neighbors), view.attributes, step, unique()))
         self._finalize(result)
         return result
 
@@ -318,27 +383,9 @@ class RandomWalk:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _make_sample(self, view: NodeView, step_index: int) -> Sample:
-        return Sample(
-            node=view.node,
-            degree=view.degree,
-            attributes=dict(view.attributes),
-            step_index=step_index,
-            query_cost=self.api.unique_queries,
-        )
-
     def _finalize(self, result: WalkResult) -> None:
         result.unique_queries = self.api.unique_queries
         result.total_queries = self.api.total_queries
-
-    def _budget_is_unlimited(self) -> bool:
-        return budget_is_unlimited(self.api)
-
-    def _budget_limit(self) -> Optional[int]:
-        return budget_limit(self.api)
-
-    def _budget_exhausted(self) -> bool:
-        return budget_exhausted(self.api)
 
     def _uniform_choice(self, items: Sequence[NodeId]) -> NodeId:
         if not items:
