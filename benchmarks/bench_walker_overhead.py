@@ -4,14 +4,16 @@ The paper argues (Section 1.2) that local processing cost is negligible next
 to the query cost: CNRW/GNRW only add O(1) amortised hash-map work per step
 (Section 3.3 / 4.2).  This benchmark times a fixed-length walk for every
 sampler on the same graph and default middleware stack, through
-:meth:`~repro.walks.base.RandomWalk.run` and as a 16-walker
-:class:`~repro.engine.scheduler.WalkScheduler` ensemble, records the absolute
-microseconds per step (``--json``), and asserts each sampler's
-``RandomWalk.run`` cost stays within a constant factor of SRW's
-(:data:`MAX_FACTOR`; GNRW's grouping costs more than the paper's O(1)
-amortised bound, and its factor says so).  Every visit after the first is a
-cache hit, so the figures are the walk's local processing: kernel, driver and
-cache lookups.
+:meth:`~repro.walks.base.RandomWalk.run`, as a 16-walker
+:class:`~repro.engine.scheduler.WalkScheduler` ensemble and as a one-lane
+schedule that walks until a 300-query budget runs out (the experiment
+runner's trial shape), records the absolute microseconds per step
+(``--json``), and asserts each sampler's ``RandomWalk.run`` cost stays within
+a constant factor of SRW's (:data:`MAX_FACTOR`; GNRW's grouping costs more
+than the paper's O(1) amortised bound, and its factor says so).  In the
+fixed-length walks every visit after the first is a cache hit, so those
+figures are the walk's local processing: kernel, driver and cache lookups;
+the budget-bound walk also pays a miss for each of its 300 unique queries.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from conftest import record_bench_result
 STEPS = 3000
 ENSEMBLE_WALKERS = 16
 ENSEMBLE_STEPS = 200
+#: Unique-query budget of the one-lane budget-bound schedule.
+BUDGET = 300
 #: Timed repetitions per configuration; the fastest one counts.
 REPEATS = 5
 WALKERS = ["srw", "nbsrw", "cnrw", "gnrw_by_degree", "nbcnrw", "mhrw"]
@@ -55,7 +59,7 @@ def overhead_graph():
 
 @pytest.fixture(scope="module")
 def us_per_step(overhead_graph):
-    """``{walker: (run_us_per_step, ensemble_us_per_step)}`` for every walker.
+    """``{walker: (run, ensemble, budget-bound)}`` microseconds per step.
 
     Repetitions go round-robin over the walkers after one untimed warm-up
     round, so a slow spell of a shared host lands on every walker alike.
@@ -67,34 +71,45 @@ def us_per_step(overhead_graph):
     def run_walk(name):
         walker = make_walker(name, api=build_api(graph), seed=1)
         assert walker.run(start, max_steps=STEPS).steps == STEPS
+        return STEPS
 
     def run_ensemble(name):
         api = build_api(graph)
         walkers = [make_walker(name, api=api, seed=seed) for seed in range(ENSEMBLE_WALKERS)]
         results = WalkScheduler(api).run(walkers, starts, steps=ENSEMBLE_STEPS)
         assert sum(result.steps for result in results) == ENSEMBLE_WALKERS * ENSEMBLE_STEPS
+        return ENSEMBLE_WALKERS * ENSEMBLE_STEPS
 
-    best = {(name, run): float("inf") for name in WALKERS for run in (run_walk, run_ensemble)}
+    def run_budget(name):
+        api = build_api(graph, budget=BUDGET)
+        walker = make_walker(name, api=api, seed=1)
+        result = WalkScheduler(api).run([walker], [start], steps=None)[0]
+        assert result.stopped_by_budget
+        return result.steps
+
+    runs = (run_walk, run_ensemble, run_budget)
+    best = {(name, run): float("inf") for name in WALKERS for run in runs}
+    steps = {}
     for repeat in range(REPEATS + 1):
         for name, run in best:
             started = time.perf_counter()
-            run(name)
+            steps[name, run] = run(name)
             if repeat:
                 best[name, run] = min(best[name, run], time.perf_counter() - started)
     return {
-        name: (best[name, run_walk] * 1e6 / STEPS,
-               best[name, run_ensemble] * 1e6 / (ENSEMBLE_WALKERS * ENSEMBLE_STEPS))
+        name: tuple(best[name, run] * 1e6 / steps[name, run] for run in runs)
         for name in WALKERS
     }
 
 
 @pytest.mark.parametrize("name", WALKERS)
 def test_walker_step_overhead(us_per_step, overhead_graph, name):
-    run_us, ensemble_us = us_per_step[name]
+    run_us, ensemble_us, budget_us = us_per_step[name]
     srw_us = us_per_step["srw"][0]
     factor = run_us / srw_us
     print(f"\n{name}: RandomWalk.run {run_us:.2f} us/step ({factor:.2f}x SRW), "
-          f"{ENSEMBLE_WALKERS}-walker WalkScheduler {ensemble_us:.2f} us/step")
+          f"{ENSEMBLE_WALKERS}-walker WalkScheduler {ensemble_us:.2f} us/step, "
+          f"one-lane budget-{BUDGET} WalkScheduler {budget_us:.2f} us/step")
     record_bench_result(
         f"walker.run_us_per_step.{name}",
         nodes=overhead_graph.number_of_nodes,
@@ -110,5 +125,12 @@ def test_walker_step_overhead(us_per_step, overhead_graph, name):
         walkers=ENSEMBLE_WALKERS,
         steps=ENSEMBLE_STEPS,
         us_per_step=ensemble_us,
+    )
+    record_bench_result(
+        f"walker.scheduler_budget_us_per_step.{name}",
+        nodes=overhead_graph.number_of_nodes,
+        walkers=1,
+        budget=BUDGET,
+        us_per_step=budget_us,
     )
     assert factor <= MAX_FACTOR[name]

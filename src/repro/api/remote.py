@@ -309,9 +309,14 @@ class _LeanHTTPConnection:
             name = name.strip().lower()
             if name == b"content-length":
                 try:
-                    content_length = int(value.strip())
+                    length = int(value.strip())
                 except ValueError:
                     raise _WireError(f"malformed Content-Length {value!r}") from None
+                if content_length is not None and length != content_length:
+                    # The server refuses this request shape too: which
+                    # length frames the body is ambiguous (smuggling shape).
+                    raise _WireError("conflicting duplicate Content-Length")
+                content_length = length
             elif name == b"connection":
                 token = value.strip().lower()
                 if token == b"close":

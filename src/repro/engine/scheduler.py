@@ -11,11 +11,12 @@ access-layer stack:
    per-query overhead of the middleware stack and the backend is amortised
    across all walkers (and, with a :class:`~repro.api.backend.CSRBackend`,
    served through its vectorised batch path).
-2. **View-fed stepping** — walkers advance via
-   :meth:`~repro.walks.base.RandomWalk.advance_with_view` (or, in the
-   uniform-steps loop, their kernels directly), consuming the views the
-   batch already fetched: no per-walker ``query`` calls, not even cache
-   hits.  Each lane appends plain values to its columnar
+2. **View-fed stepping** — one round loop drives every walker's
+   transition kernel directly off the views the batch already fetched: no
+   per-walker ``query`` calls, not even cache hits.  Each lane's kernel,
+   rng, state and output columns are bound once into a flat slot, and
+   rebound only when a lane retires, dead-ends or is (re)planted.  Each
+   lane appends plain values to its columnar
    :class:`~repro.walks.base.WalkResult` — the node moved to, and one
    ``(node, degree, attributes, step_index, query_cost)`` record per
    sample — so a round builds no per-step objects.  Each walker's kernel
@@ -38,6 +39,8 @@ with the ensemble size; ``benchmarks/bench_engine.py`` pins the speedup.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
@@ -51,14 +54,23 @@ from ..exceptions import (
     QueryBudgetExceededError,
 )
 from ..types import NodeId
-from ..walks.base import RandomWalk, WalkResult, implicit_step_cap, query_budget
+from ..walks.base import (
+    RandomWalk,
+    WalkResult,
+    implicit_step_cap,
+    query_budget,
+    unique_counter,
+)
 
 #: How the scheduler reacts when a walker reaches a node with no neighbors.
 DEAD_END_ACTIONS = ("raise", "stop", "restart")
 
-#: Placeholder marking a frontier node whose batch fetch is in flight (used
-#: by the lockstep loop to dedup the frontier against the view memo itself).
+#: Placeholder marking a frontier node whose batch fetch is in flight, so
+#: the frontier is deduplicated against the view memo itself.
 _FETCHING = object()
+
+#: Round index no schedule reaches (no step cap pending).
+_NEVER = math.inf
 
 
 @dataclass(frozen=True)
@@ -94,11 +106,11 @@ class _Lane:
     walker: RandomWalk
     result: WalkResult = field(default_factory=WalkResult)
     max_steps: Optional[int] = None
-    steps_taken: int = 0
     active: bool = True
     restarts: int = 0
-    #: Node the lane should be replanted at next round (restart policy).
-    pending_restart: Optional[NodeId] = None
+    #: Node the lane is planted at next round: its start node, then a
+    #: restart node under the restart policy.
+    plant_at: Optional[NodeId] = None
 
 
 class WalkScheduler:
@@ -132,7 +144,7 @@ class WalkScheduler:
                 rngs and states are driven directly, so fixed seeds reproduce
                 the exact paths ``RandomWalk.run`` would produce.
             starts: One start node per walker.
-            steps: Shared step budget (int), one budget per walker
+            steps: Shared step budget (any integer), one budget per walker
                 (sequence), or ``None`` to walk until the shared query budget
                 is exhausted (requires a finite budget on the stack).
             burn_in: Transitions to discard before emitting samples.
@@ -152,98 +164,74 @@ class WalkScheduler:
         if not walkers:
             return []
         per_walker_steps = self._per_walker_steps(steps, len(walkers))
-        budget = query_budget(self.api)
-        implicit_cap = None
+        api = self.api
+        budget = query_budget(api)
+        round_limit = _NEVER
         if any(cap is None for cap in per_walker_steps):
             if budget.unlimited:
                 raise ValueError(
                     "schedule would never terminate: provide steps (per walker "
                     "or shared) or an API with a finite query budget"
                 )
-            implicit_cap = implicit_step_cap(budget.limit)
+            round_limit = implicit_step_cap(budget.limit)
 
+        # Round 0 plants every lane at its start node, exactly as a restart
+        # round replants a lane, off one shared batch.
         lanes = [
-            _Lane(walker=walker, max_steps=cap)
-            for walker, cap in zip(walkers, per_walker_steps)
+            _Lane(walker=walker, max_steps=cap, plant_at=start)
+            for walker, cap, start in zip(walkers, per_walker_steps, starts)
         ]
-        stopped = False
+        query_many = api.query_many
+        unique = unique_counter(api)
+        registry = obs.metrics()
 
-        # One view memo accumulates every fetched neighborhood for the whole
+        # ``views`` accumulates every fetched neighborhood for the whole
         # schedule — but only when the stack has an *unbounded* cache layer.
         # There a view is immutable once served (the shuffle layer randomises
         # below the cache) and a memoised node could never be billed again,
         # so revisits may skip the middleware without touching unique-query
         # accounting.  Without a cache every query bills, and under a bounded
         # LRU cache evicted revisits are billed again: in both cases
-        # memoising would silently waive the cost model, so the memo is
-        # cleared each round and revisits go back through the stack.
-        cache = getattr(self.api, "cache", None)
+        # memoising would silently waive the cost model, so the memo restarts
+        # empty each round and revisits go back through the stack.
+        cache = getattr(api, "cache", None)
         memoising = cache is not None and getattr(cache, "capacity", None) is None
         views: Dict[NodeId, NodeView] = {}
 
-        # Round 0: place every walker on its start node off one shared batch.
-        try:
-            self._fetch_frontier(starts, views, memoising)
-        except QueryBudgetExceededError:
-            stopped = True
-        if not stopped:
-            query_cost = self.api.unique_queries
-            for lane, start in zip(lanes, starts):
-                lane.walker.reset()
-                view = views[start]
-                if not view.neighbors:
-                    self._handle_dead_start(lane, start)
-                    continue
-                lane.walker.start_from_view(start, view)
-                lane.result.path.append(start)
-                if burn_in == 0:
-                    lane.result.sample_records.append(
-                        (view.node, len(view.neighbors), view.attributes, 0, query_cost)
-                    )
-
-        # The common schedule — one shared integer step budget, default
-        # dead-end behaviour, every lane placed — runs on a tight loop that
-        # drives the kernels directly; anything fancier (per-walker budgets,
-        # budget-driven termination, restart policies, custom walkers) takes
-        # the general round loop below.
-        if (
-            not stopped
-            and memoising
-            and isinstance(steps, int)
-            and self.policy.on_dead_end == "raise"
-            and all(lane.active for lane in lanes)
-            and self._kernels_drivable(walkers)
-        ):
-            stopped = self._run_lockstep(lanes, views, steps, burn_in, thinning)
-            return self._finalize(lanes, stopped)
-
-        registry = obs.metrics()
-        round_index = 0
-        while not stopped:
-            self._retire_finished(lanes)
-            active = [lane for lane in lanes if lane.active]
-            if not active:
-                break
-            if implicit_cap is not None and round_index >= implicit_cap:
-                break
-            if any(lane.max_steps is None for lane in active) and budget.exhausted:
-                stopped = True
+        stopped = False
+        round_index = -1  # the loop's first round is round 0, the plant round
+        slots, groups, planting, next_retire, budget_driven = self._bind(lanes, round_index)
+        while True:
+            if round_index >= next_retire:
+                for lane in lanes:
+                    cap = lane.max_steps
+                    if lane.active and cap is not None and lane.result.steps >= cap:
+                        lane.active = False
+                slots, groups, planting, next_retire, budget_driven = self._bind(lanes, round_index)
+            if not slots and not planting:
                 break
             round_index += 1
             round_started = time.perf_counter() if registry is not None else 0.0
 
-            # 1. Advance every active lane off the views of the last batch.
-            stepping = [lane for lane in active if lane.pending_restart is None]
+            # 1. Step every bound lane off the views of the last batch and
+            # claim each target the round's memo does not hold yet.
+            fresh = views if memoising else {}
+            frontier = []
+            dead_end = False
             try:
-                for lane in stepping:
-                    view = views[lane.walker.current]
-                    try:
-                        target = lane.walker.advance_with_view(view)
-                    except DeadEndError:
+                for lane, kernel, rng, state, add_path in slots:
+                    view = views[state.current]
+                    if not view.neighbors:
                         self._handle_dead_end(lane)
+                        dead_end = True
                         continue
-                    lane.result.path.append(target)
-                    lane.steps_taken += 1
+                    target = kernel.choose(state, view, rng)
+                    kernel.observe(state, target, view)
+                    state.advance(target)
+                    add_path(target)
+                    if target not in fresh:
+                        fresh[target] = _FETCHING
+                        frontier.append(target)
             except QueryBudgetExceededError:
                 # A kernel-internal metadata query (GNRW grouping prefetch,
                 # MHRW degree fallback) ran the budget dry mid-round; lanes
@@ -251,20 +239,28 @@ class WalkScheduler:
                 # one step apart, as documented.
                 stopped = True
                 break
+            if dead_end:
+                slots, groups, planting, next_retire, budget_driven = self._bind(lanes, round_index)
+            if planting:
+                # Plant nodes join the batch in lane order, as targets do.
+                for node in frontier:
+                    del fresh[node]
+                frontier = []
+                for lane in lanes:
+                    node = lane.walker.current if lane.plant_at is None else lane.plant_at
+                    if lane.active and node not in fresh:
+                        fresh[node] = _FETCHING
+                        frontier.append(node)
 
-            # 2. One deduplicated batch serves double duty: it provides this
-            # round's samples and prefetches next round's stepping views.
-            frontier: List[NodeId] = []
-            for lane in active:
-                if not lane.active:
-                    continue
-                node = lane.pending_restart if lane.pending_restart is not None else lane.walker.current
-                frontier.append(node)
-            try:
-                self._fetch_frontier(frontier, views, memoising)
-            except QueryBudgetExceededError:
-                stopped = True
-                break
+            # 2. One batch serves double duty: it provides this round's
+            # samples and prefetches next round's stepping views.
+            if frontier:
+                try:
+                    fresh.update(zip(frontier, query_many(frontier)))
+                except QueryBudgetExceededError:
+                    stopped = True
+                    break
+            views = fresh
             if registry is not None:
                 registry.observe("repro_scheduler_frontier_size", len(frontier))
                 registry.observe(
@@ -272,37 +268,84 @@ class WalkScheduler:
                     (time.perf_counter() - round_started) * 1000.0,
                 )
 
-            # 3. Replant restarted lanes and emit this round's samples.
-            query_cost = self.api.unique_queries
-            for lane in active:
-                if not lane.active:
-                    continue
-                result = lane.result
-                if lane.pending_restart is not None:
-                    node = lane.pending_restart
-                    lane.pending_restart = None
+            # 3. Emit this round's samples and (re)plant lanes.
+            query_cost = unique()
+            for offset, group in groups:
+                step = round_index - offset
+                if step >= burn_in and (step - burn_in) % thinning == 0:
+                    for state, add_sample in group:
+                        view = views[state.current]
+                        add_sample(
+                            (view.node, len(view.neighbors), view.attributes, step, query_cost)
+                        )
+            if planting:
+                for lane in planting:
+                    node, lane.plant_at = lane.plant_at, None
                     view = views[node]
+                    walker, result = lane.walker, lane.result
+                    walker.reset()
                     if not view.neighbors:
-                        self._handle_dead_end(lane)  # isolated restart node
+                        if self.policy.on_dead_end == "raise":  # only start nodes get here
+                            raise InvalidStartNodeError(
+                                f"start node {node!r} has no neighbors; walks require degree >= 1"
+                            )
+                        self._handle_dead_end(lane)
                         continue
-                    lane.walker.reset()
-                    lane.walker.start_from_view(node, view)
+                    walker.start_from_view(node, view)
                     if result.path:
                         result.restarts.append(len(result.path))
                     result.path.append(node)
-                else:
-                    view = views[lane.walker.current]
-                step = lane.steps_taken
-                if step >= burn_in and (step - burn_in) % thinning == 0:
-                    result.sample_records.append(
-                        (view.node, len(view.neighbors), view.attributes, step, query_cost)
-                    )
+                    step = result.steps
+                    if step >= burn_in and (step - burn_in) % thinning == 0:
+                        result.sample_records.append(
+                            (view.node, len(view.neighbors), view.attributes, step, query_cost)
+                        )
+                slots, groups, planting, next_retire, budget_driven = self._bind(lanes, round_index)
 
+            # Budget-driven lanes stop at the implicit step cap or once the
+            # budget is spent.
+            if round_index >= round_limit:
+                break
+            if budget_driven and budget.exhausted:
+                stopped = True
+                break
         return self._finalize(lanes, stopped)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    @staticmethod
+    def _bind(lanes: Sequence[_Lane], round_index: int):
+        """Bind each lane that steps next round to one flat slot.
+
+        A slot is ``(lane, kernel, rng, state, path.append)``, so the round
+        loop reads no lane attribute per step; lanes whose step counts trail
+        ``round_index`` by the same offset share one sampling group.  Also
+        returns the lanes to plant next round, the round at which the next
+        step cap is reached, and whether any lane walks until the budget
+        runs out.
+        """
+        slots = []
+        groups: Dict[int, list] = {}
+        planting = []
+        next_retire = _NEVER
+        budget_driven = False
+        for lane in lanes:
+            if not lane.active:
+                continue
+            if lane.max_steps is None:
+                budget_driven = True
+            if lane.plant_at is not None:
+                planting.append(lane)
+                continue
+            walker, result, state = lane.walker, lane.result, lane.walker.state
+            slots.append((lane, walker.kernel, walker.rng, state, result.path.append))
+            taken = result.steps
+            groups.setdefault(round_index - taken, []).append((state, result.sample_records.append))
+            if lane.max_steps is not None:
+                next_retire = min(next_retire, round_index + lane.max_steps - taken)
+        return slots, list(groups.items()), planting, next_retire, budget_driven
+
     def _finalize(self, lanes: Sequence[_Lane], stopped: bool) -> List[WalkResult]:
         """Stamp the shared counters and the budget flag onto every result.
 
@@ -328,125 +371,6 @@ class WalkScheduler:
             lane.result.stopped_by_budget = stopped and lane.active
         return [lane.result for lane in lanes]
 
-    @staticmethod
-    def _kernels_drivable(walkers: Sequence[RandomWalk]) -> bool:
-        """Whether every walker's transitions can be driven kernel-directly.
-
-        External subclasses may override the classic ``_choose_next`` /
-        ``_on_transition`` hooks instead of supplying a kernel; those walkers
-        must be advanced through ``step_with_view`` so their overrides run.
-        """
-        return all(
-            walker.kernel is not None
-            and type(walker)._choose_next is RandomWalk._choose_next
-            and type(walker)._on_transition is RandomWalk._on_transition
-            for walker in walkers
-        )
-
-    def _run_lockstep(
-        self,
-        lanes: Sequence[_Lane],
-        views: Dict[NodeId, NodeView],
-        steps: int,
-        burn_in: int,
-        thinning: int,
-    ) -> bool:
-        """Tight uniform-steps loop: every lane advances every round.
-
-        Drives (kernel, rng, state) directly — skipping the per-step walker
-        dispatch — while issuing exactly the same choices, queries and
-        samples as the general loop.  Returns whether the query budget died.
-        """
-        api = self.api
-        query_many = api.query_many
-        slots = [
-            (lane.walker.kernel, lane.walker.rng, lane.walker.state,
-             lane.result.path.append, lane.result.sample_records.append)
-            for lane in lanes
-        ]
-        registry = obs.metrics()
-        frontier: List[NodeId] = []
-        for round_index in range(1, steps + 1):
-            round_started = time.perf_counter() if registry is not None else 0.0
-            frontier.clear()
-            try:
-                for kernel, rng, state, add_path, _ in slots:
-                    view = views[state.current]
-                    if not view.neighbors:
-                        raise DeadEndError(state.current)
-                    target = kernel.choose(state, view, rng)
-                    kernel.observe(state, target, view)
-                    state.advance(target)
-                    add_path(target)
-                    if target not in views:
-                        views[target] = _FETCHING
-                        frontier.append(target)
-            except QueryBudgetExceededError:
-                for node in frontier:
-                    del views[node]
-                return True
-            if frontier:
-                try:
-                    fetched = query_many(frontier)
-                except QueryBudgetExceededError:
-                    for node in frontier:
-                        del views[node]
-                    return True
-                views.update(zip(frontier, fetched))
-            if registry is not None:
-                registry.observe("repro_scheduler_frontier_size", len(frontier))
-                registry.observe(
-                    "repro_scheduler_round_ms",
-                    (time.perf_counter() - round_started) * 1000.0,
-                )
-            if round_index >= burn_in and (round_index - burn_in) % thinning == 0:
-                query_cost = api.unique_queries
-                for _, _, state, _, add_sample in slots:
-                    view = views[state.current]
-                    add_sample(
-                        (view.node, len(view.neighbors), view.attributes, round_index, query_cost)
-                    )
-        for lane in lanes:
-            lane.steps_taken = steps
-        return False
-
-    def _fetch_frontier(
-        self, nodes: Sequence[NodeId], memo: Dict[NodeId, NodeView], memoising: bool = True
-    ) -> None:
-        """Batch-fetch this round's frontier into ``memo``.
-
-        When memoising, only not-yet-seen nodes are fetched (a cache below
-        makes revisits free, so skipping them cannot change billing).  When
-        not, every deduplicated frontier node goes through the stack — each
-        round re-bills revisits exactly as a cache-less crawl must — and the
-        memo is replaced by the round's views.
-        """
-        frontier: List[NodeId] = []
-        seen = set()
-        for node in nodes:
-            if node not in seen and not (memoising and node in memo):
-                seen.add(node)
-                frontier.append(node)
-        if not memoising:
-            fetched = self.api.query_many(frontier) if frontier else []
-            memo.clear()
-            memo.update(zip(frontier, fetched))
-            return
-        if frontier:
-            memo.update(zip(frontier, self.api.query_many(frontier)))
-
-    def _retire_finished(self, lanes: Sequence[_Lane]) -> None:
-        for lane in lanes:
-            if lane.active and lane.max_steps is not None and lane.steps_taken >= lane.max_steps:
-                lane.active = False
-
-    def _handle_dead_start(self, lane: _Lane, start: NodeId) -> None:
-        if self.policy.on_dead_end == "raise":
-            raise InvalidStartNodeError(
-                f"start node {start!r} has no neighbors; walks require degree >= 1"
-            )
-        self._handle_dead_end(lane)
-
     def _handle_dead_end(self, lane: _Lane) -> None:
         policy = self.policy
         if policy.on_dead_end == "raise":
@@ -455,8 +379,8 @@ class WalkScheduler:
             policy.max_restarts is None or lane.restarts < policy.max_restarts
         ):
             lane.restarts += 1
-            lane.pending_restart = self._pick_restart(lane)
-            if lane.pending_restart is not None:
+            lane.plant_at = self._pick_restart(lane)
+            if lane.plant_at is not None:
                 return
         lane.active = False
 
@@ -471,8 +395,8 @@ class WalkScheduler:
     def _per_walker_steps(
         self, steps: Union[int, Sequence[Optional[int]], None], count: int
     ) -> List[Optional[int]]:
-        if steps is None or isinstance(steps, int):
-            caps: List[Optional[int]] = [steps] * count
+        if steps is None or isinstance(steps, numbers.Integral):
+            caps: List[Optional[int]] = [None if steps is None else int(steps)] * count
         else:
             caps = list(steps)
             if len(caps) != count:

@@ -10,16 +10,17 @@ algorithms differ *only* in their transition design, exactly as in the paper.
 The kernel split also separates the transition rule from the execution
 driver: :meth:`RandomWalk.step` queries the API itself (the classic
 one-walker driver), while :meth:`RandomWalk.step_with_view` advances off a
-view fetched by someone else — the hook the batched
-:class:`~repro.engine.scheduler.WalkScheduler` uses to run many walkers in
-lockstep without issuing per-walker queries.
+view fetched by someone else.  The batched
+:class:`~repro.engine.scheduler.WalkScheduler` drives many walkers' kernels
+in lockstep off one shared batch per round, without per-walker queries.
 
-Every driver (:meth:`RandomWalk.run`, both scheduler loops and the vector
+Every driver (:meth:`RandomWalk.run`, the scheduler's round loop and the vector
 engine's :meth:`~repro.engine.vector.VectorEnsembleResult.to_walk_results`)
 writes the same columnar :class:`WalkResult`: the path as node ids and one
 plain :data:`~repro.types.SampleRecord` tuple per sample.  The drivers step
-through :meth:`RandomWalk.advance_with_view`, which returns the target node
-only; :class:`~repro.types.Transition` and :class:`~repro.types.Sample`
+through the kernel (:meth:`RandomWalk.advance_with_view`, or the kernel's
+``choose``/``observe`` directly), which yields the target node only;
+:class:`~repro.types.Transition` and :class:`~repro.types.Sample`
 objects are built from the columns when a caller first reads
 ``result.transitions`` / ``result.samples``.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..api.budget import QueryBudget
 from ..api.interface import NodeView, SocialNetworkAPI
@@ -154,11 +155,11 @@ class RandomWalk:
 
     Args:
         api: The restrictive-access API the walk queries.
+        kernel: The transition rule.  It is the only place a walker's
+            behaviour lives: every driver calls the kernel's ``choose`` and
+            ``observe`` directly, so a new sampler is a new
+            :class:`~repro.walks.kernels.TransitionKernel`, not an override.
         seed: Seed (or generator) driving the walk's randomness.
-        kernel: The transition rule.  Subclasses pass their kernel; external
-            subclasses may instead keep overriding :meth:`_choose_next` /
-            :meth:`_on_transition` directly, exactly as before the kernel
-            split.
     """
 
     #: Human-readable algorithm name, overridden by subclasses.
@@ -167,8 +168,8 @@ class RandomWalk:
     def __init__(
         self,
         api: SocialNetworkAPI,
+        kernel: TransitionKernel,
         seed: SeedLike = None,
-        kernel: Optional[TransitionKernel] = None,
     ) -> None:
         self.api = api
         self.rng = make_rng(seed)
@@ -199,14 +200,9 @@ class RandomWalk:
         return self._state.step_index
 
     def reset(self) -> None:
-        """Forget the walk position and any kernel/subclass history."""
+        """Forget the walk position and the kernel's history."""
         self._state.clear()
-        self._reset_history()
-
-    def _reset_history(self) -> None:
-        """Clear history structures (kernel-backed by default)."""
-        if self.kernel is not None:
-            self.kernel.reset()
+        self.kernel.reset()
 
     # ------------------------------------------------------------------
     # Walking
@@ -253,8 +249,9 @@ class RandomWalk:
             raise InvalidStartNodeError("walk has not been started; call start() first")
         if not view.neighbors:
             raise DeadEndError(state.current)
-        target = self._choose_next(view)
-        self._on_transition(state.current, target, view)
+        kernel = self.kernel
+        target = kernel.choose(state, view, self.rng)
+        kernel.observe(state, target, view)
         state.advance(target)
         return target
 
@@ -364,33 +361,11 @@ class RandomWalk:
                 return
 
     # ------------------------------------------------------------------
-    # Hooks
-    # ------------------------------------------------------------------
-    def _choose_next(self, view: NodeView) -> NodeId:
-        """Return the next node given the current node's :class:`NodeView`.
-
-        Delegates to the kernel; subclasses without a kernel override this.
-        """
-        if self.kernel is None:
-            raise NotImplementedError("walker has no kernel and does not override _choose_next")
-        return self.kernel.choose(self._state, view, self.rng)
-
-    def _on_transition(self, source: NodeId, target: NodeId, view: NodeView) -> None:
-        """Hook called after the next node has been chosen (before moving)."""
-        if self.kernel is not None:
-            self.kernel.observe(self._state, target, view)
-
-    # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     def _finalize(self, result: WalkResult) -> None:
         result.unique_queries = self.api.unique_queries
         result.total_queries = self.api.total_queries
-
-    def _uniform_choice(self, items: Sequence[NodeId]) -> NodeId:
-        if not items:
-            raise ValueError("cannot choose from an empty neighbor set")
-        return items[int(self.rng.integers(0, len(items)))]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -15,7 +15,6 @@ inline-metadata degree lookup) lives in
 
 from __future__ import annotations
 
-from ..types import NodeId
 from .base import RandomWalk
 from .kernels import MHRWKernel
 
@@ -27,7 +26,3 @@ class MetropolisHastingsRandomWalk(RandomWalk):
 
     def __init__(self, api, seed=None) -> None:
         super().__init__(api, seed=seed, kernel=MHRWKernel(api))
-
-    def _degree_of(self, node: NodeId) -> int:
-        """Degree of ``node`` as the acceptance ratio sees it (kernel logic)."""
-        return self.kernel._degree_of(node)

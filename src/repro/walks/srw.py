@@ -36,4 +36,3 @@ class WeightedRandomWalk(RandomWalk):
 
     def __init__(self, api, weight_fn, seed=None) -> None:
         super().__init__(api, seed=seed, kernel=WeightedChoiceKernel(weight_fn))
-        self._weight_fn = weight_fn

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro import SchedulerPolicy, WalkScheduler, build_api
+from repro import SamplingSession, SchedulerPolicy, WalkScheduler, build_api
 from repro.api.backend import GraphBackend, RawRecord
 from repro.exceptions import DeadEndError, InvalidConfigurationError, InvalidStartNodeError
 from repro.walks import make_walker
@@ -110,6 +111,20 @@ class TestStepBudgets:
         assert [result.steps for result in results] == [10, 25, 0]
         assert len(results[2].path) == 1  # placed, sampled, never stepped
         assert len(results[2].samples) == 1
+
+    def test_numpy_integer_steps_are_a_shared_budget(self, facebook_small):
+        starts = facebook_small.nodes()[:3]
+        names_seeds = [("cnrw", 1), ("srw", 2), ("mhrw", 3)]
+        _, plain = _schedule(facebook_small, names_seeds, starts, steps=40)
+        _, numpy_steps = _schedule(facebook_small, names_seeds, starts, steps=np.int64(40))
+        assert numpy_steps == plain
+        assert [result.steps for result in plain] == [40, 40, 40]
+
+        def ensemble(steps):
+            session = SamplingSession(facebook_small, seed=4).walker("cnrw", seed=4)
+            return session.run_ensemble(2, steps=steps)
+
+        assert ensemble(np.int64(40)) == ensemble(40)
 
     def test_steps_sequence_length_validated(self, facebook_small):
         with pytest.raises(ValueError):

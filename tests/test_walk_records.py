@@ -8,6 +8,12 @@ and the query counters.  The constants were recorded from the drivers that
 built one ``Transition`` per step and one ``Sample`` per sample, before
 walk results became columnar, so any drift in what the records expand to
 fails here field by field rather than only through a path fingerprint.
+The scheduler cases are named after the two round loops the scheduler once
+had: ``lockstep/`` is a shared integer step count on the default stack and
+``general/`` is everything else (budget-driven, mixed caps, cache-less and
+LRU stacks, dead-end policies).  The ``general/cacheless``, ``lru``,
+``mixed`` and ``stop`` pins were recorded from the separate general loop,
+before the loops merged into one.
 
 The second half pins the point of the columnar format: a crawl or an
 ensemble followed by an estimate, and a server-side walk, construct no
@@ -114,18 +120,28 @@ def lockstep_case(graph, kernel):
     return WalkScheduler(api).run(walkers, starts, steps=60, burn_in=5, thinning=2)
 
 
+#: Stack and step caps of each budgeted ``general/<config>`` case.
+GENERAL_STACKS = {
+    "budget": (dict(budget=50), None),
+    "cacheless": (dict(budget=70, cache=False), 40),
+    "lru": (dict(budget=90, cache_capacity=16), 50),
+    "mixed": (dict(budget=50), [12, None, 30]),
+}
+
+
 def general_case(graph, kernel, config):
-    if config == "restart":
+    if config in ("restart", "stop"):
         api = build_api(_DeadEndBackend())
         walkers = [make_walker(kernel, api=api, seed=seed) for seed in (2, 5, 8)]
-        policy = SchedulerPolicy(on_dead_end="restart")
+        policy = SchedulerPolicy(on_dead_end=config)
         return WalkScheduler(api, policy=policy).run(
             walkers, [1, 3, 0], steps=[25, 40, 33], burn_in=2, thinning=2
         )
-    api = build_api(graph, budget=50)
+    stack, steps = GENERAL_STACKS[config]
+    api = build_api(graph, **stack)
     walkers = [make_walker(kernel, api=api, seed=seed) for seed in (3, 4, 5)]
     starts = [graph.nodes()[i] for i in (1, 2, 40)]
-    return WalkScheduler(api).run(walkers, starts, steps=None, burn_in=3, thinning=1)
+    return WalkScheduler(api).run(walkers, starts, steps=steps, burn_in=3, thinning=1)
 
 
 def vector_case(graph, kernel, config):
@@ -153,6 +169,8 @@ CASES = (
     [f"run/{config}/{kernel}" for config in RUN_CONFIGS for kernel in KERNELS]
     + [f"lockstep/{kernel}" for kernel in KERNELS]
     + [f"general/{config}/{kernel}" for config in ("restart", "budget") for kernel in KERNELS]
+    + [f"general/{config}/{kernel}" for config in ("cacheless", "lru", "mixed", "stop")
+       for kernel in ("srw", "mhrw", "cnrw", "gnrw_by_degree")]
     + [f"vector/{config}/{kernel}" for config in ("steps", "budget") for kernel in VECTOR_KERNELS]
 )
 
@@ -221,6 +239,22 @@ PINS = {
     "general/budget/nbcnrw": 0xB5B229D0,
     "general/budget/gnrw_by_degree": 0xC4E767AD,
     "general/budget/gnrw_by_md5": 0x46BAA6C7,
+    "general/cacheless/srw": 0x6FE09CF7,
+    "general/cacheless/mhrw": 0x5121767B,
+    "general/cacheless/cnrw": 0x6FE09CF7,
+    "general/cacheless/gnrw_by_degree": 0xABA664F8,
+    "general/lru/srw": 0xFF664B25,
+    "general/lru/mhrw": 0xA6593597,
+    "general/lru/cnrw": 0x3DCE9F66,
+    "general/lru/gnrw_by_degree": 0x71347C6A,
+    "general/mixed/srw": 0x9C432E15,
+    "general/mixed/mhrw": 0x4C75C5AE,
+    "general/mixed/cnrw": 0xE3EAE8CB,
+    "general/mixed/gnrw_by_degree": 0x5C8378E6,
+    "general/stop/srw": 0xDAF7FB46,
+    "general/stop/mhrw": 0x3602EE9F,
+    "general/stop/cnrw": 0x98DB295D,
+    "general/stop/gnrw_by_degree": 0x501E8683,
     "vector/steps/srw": 0xB3490A71,
     "vector/steps/mhrw": 0xE765DB90,
     "vector/steps/nbsrw": 0x674D762D,
@@ -236,21 +270,8 @@ PINS = {
 
 class TestFieldPins:
     @pytest.mark.parametrize("name", CASES)
-    def test_every_field_matches_its_pin(self, graph, name, monkeypatch):
-        lockstep_rounds = []
-        original = WalkScheduler._run_lockstep
-
-        def spy(self, *args, **kwargs):
-            lockstep_rounds.append(args[2])
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(WalkScheduler, "_run_lockstep", spy)
+    def test_every_field_matches_its_pin(self, graph, name):
         results = build_case(graph, name)
-        # Each scheduler case must really take the loop it is named after.
-        if name.startswith("lockstep/"):
-            assert lockstep_rounds == [60]
-        elif name.startswith("general/"):
-            assert lockstep_rounds == []
         if name.startswith("general/restart/") and not name.endswith("/mhrw"):
             # A lane walked into the dead end and was replanted mid-walk
             # (MHRW never enters it here; its one restart is the dead start).

@@ -30,6 +30,10 @@ socket level, against a live server (the framing rules live in
    request could pin a handler thread, and its memory, on a body of any
    declared size; now a length above ``MAX_BODY`` answers 413
    ``body_too_large`` + close before a single body byte is read.
+9. **Client-side duplicate Content-Length** — the lean client kept the last
+   of two disagreeing ``Content-Length`` response headers, read a body of
+   the wrong length and left the socket reusable; now it raises its wire
+   error, so the connection is dropped as for any malformed response.
 
 Every socket-level probe runs twice (the ``connect`` fixture): as the first
 request of a fresh connection, and as the request that follows a served
@@ -40,12 +44,14 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 from collections import deque
 
 import pytest
 
 from fakes import FAULT_LONG_STATUS, FlakyHTTPHandler
 from repro.api import HTTPGraphBackend, InMemoryBackend
+from repro.api.remote import _LeanHTTPConnection, _WireError
 from repro.exceptions import RemoteBackendError
 from repro.graphs import complete_graph
 from repro.server import serve_backend
@@ -270,6 +276,58 @@ class TestOversizedStatusLine:
             assert record.node == 0
         finally:
             client.close()
+
+
+# ----------------------------------------------------------------------
+# Fix 9: the client refuses a response with conflicting Content-Lengths
+# ----------------------------------------------------------------------
+def _serve_one_response(response: bytes):
+    """Listen on loopback and answer one request with ``response`` verbatim.
+
+    Returns ``(port, thread)``; the thread exits after one exchange.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def answer() -> None:
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                _recv_until(conn, b"\r\n\r\n")
+                conn.sendall(response)
+                _recv_until(conn, b"never sent")  # hold open until the client hangs up
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return port, thread
+
+
+class TestClientDuplicateContentLength:
+    @staticmethod
+    def exchange(response: bytes):
+        port, thread = _serve_one_response(response)
+        conn = _LeanHTTPConnection("http", "127.0.0.1", port, 5.0, "x")
+        try:
+            conn.send_request("GET", "/info", None)
+            return conn.read_response(), conn.reusable
+        finally:
+            conn.close()
+            thread.join(5)
+
+    def test_conflicting_lengths_raise_a_wire_error(self):
+        # Pre-fix this returned (200, b'{}AAAAA') on a still-reusable socket.
+        with pytest.raises(_WireError, match="Content-Length"):
+            self.exchange(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 7\r\n\r\n"
+                b"{}AAAAA"
+            )
+
+    def test_identical_duplicate_lengths_still_frame_the_body(self):
+        response, reusable = self.exchange(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}"
+        )
+        assert response == (200, b"{}")
+        assert reusable
 
 
 def _status_lines(answer: bytes):
