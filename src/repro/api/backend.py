@@ -100,8 +100,8 @@ class GraphBackend:
         """Release any resources the backend holds.
 
         Purely local backends hold none, so the default is a no-op; backends
-        with real resources (keep-alive sockets, shard dispatch pools)
-        override it.  Every backend is therefore a context manager, so
+        with real resources (keep-alive sockets, shard clients) override
+        it.  Every backend is therefore a context manager, so
         ``with as_backend(source) as backend: ...`` closes connections
         deterministically no matter what kind of backend the source resolved
         to.

@@ -43,7 +43,10 @@ exchange into :meth:`~_LeanHTTPConnection.send_request` /
 :meth:`~_LeanHTTPConnection.read_response`, which is what lets
 :class:`~repro.cluster.ShardedBackend` *pipeline* a frontier batch: post
 every shard's sub-batch first, then collect the responses while the shard
-servers work concurrently.
+servers work concurrently.  Every request, plain or pipelined, is one
+``_begin`` / ``_finish`` pair on :class:`HTTPGraphBackend`: begin sends
+attempt 1, finish reads it and runs the one bounded retry loop, so both
+kinds get the same attempt bound, spans and ``repro_http_*`` counts.
 """
 
 from __future__ import annotations
@@ -159,6 +162,74 @@ def walk_fingerprint(path: Sequence[NodeId]) -> int:
     return zlib.crc32(",".join(map(str, path)).encode("utf-8"))
 
 
+# ----------------------------------------------------------------------
+# HTTP/1.1 header-block rules, shared with the server frontend
+# ----------------------------------------------------------------------
+#: Hard cap on one request/status/header line (mirrors http.client).
+MAX_LINE = 65536
+#: Hard cap on header lines per message (mirrors http.client's _MAXHEADERS).
+MAX_HEADERS = 100
+
+
+class FramingError(Exception):
+    """A message refused by the framing rules, with the status a server answers."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
+
+
+def read_header_block(readline) -> Optional[Dict[bytes, bytes]]:
+    """Read one header block into a lowercased ``name -> value`` map.
+
+    ``readline`` is a binary file's ``readline``.  Returns ``None`` at EOF
+    before the blank line that ends the block: a peer that died mid-message
+    never sent a complete block.  Raises :class:`FramingError` with 431 past
+    :data:`MAX_LINE` bytes on one line or :data:`MAX_HEADERS` header *lines*
+    (lines, not distinct names: a peer repeating one header would otherwise
+    stream forever, as the socket timeout never fires while data arrives),
+    and with 400 on a line without a colon and on *conflicting duplicates*
+    — the same name twice with different values.  Two ``Content-Length``
+    headers that disagree are a request-smuggling probe, not a bug to paper
+    over; refusing every conflicting duplicate keeps the rule simple and
+    the map canonical.  Repeats with the *same* value stay accepted, as
+    retrying proxies occasionally produce them harmlessly.
+    """
+    raw: Dict[bytes, bytes] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = readline(MAX_LINE + 1)
+        if not line:
+            return None
+        if len(line) > MAX_LINE:
+            raise FramingError(431, "Line too long")
+        if line in (b"\r\n", b"\n"):
+            return raw
+        name, separator, value = line.partition(b":")
+        if not separator:
+            raise FramingError(400, f"Malformed header line {line!r}")
+        value = value.strip()
+        if raw.setdefault(name.strip().lower(), value) != value:
+            raise FramingError(
+                400,
+                f"Conflicting duplicate header {name.strip().decode('iso-8859-1')!r}",
+            )
+    raise FramingError(431, "Too many headers")
+
+
+def content_length(value) -> int:
+    """A ``Content-Length`` value (``str`` or ``bytes``) as a byte count.
+
+    Only plain ASCII decimal digits frame a body: ``-1`` would read "until
+    EOF" and pin the connection, and ``+2`` is a shape a lenient ``int()``
+    accepts that another parser on the path may not.  Anything else raises
+    :class:`FramingError` with 400.
+    """
+    if not (value.isascii() and value.isdigit()):
+        raise FramingError(400, f"Content-Length {value!r} is not a non-negative integer")
+    return int(value)
+
+
 class _WireError(Exception):
     """A malformed or truncated HTTP response on the lean transport.
 
@@ -182,17 +253,16 @@ class _LeanHTTPConnection:
     status line, plain ``Name: value`` header lines, a ``Content-Length``
     framed body (the server never chunks) — and parses it with
     ``bytes.partition`` instead of ``email.parser``, which cuts the fixed
-    per-response CPU cost by an order of magnitude.  Any response outside
-    that subset raises :class:`_WireError` and the caller reconnects.
+    per-response CPU cost by an order of magnitude.  The header block obeys
+    the server's own rules (:func:`read_header_block`,
+    :func:`content_length`).  Any response outside that subset raises
+    :class:`_WireError` and the caller reconnects.
 
     One exchange is two calls — :meth:`send_request` then
     :meth:`read_response` — so several connections can have requests in
     flight at once (the sharded tier's pipelined fan-out) while each single
     connection stays strictly request/response.
     """
-
-    #: Hard cap on one header line (mirrors http.client's sanity limit).
-    _MAX_LINE = 65536
 
     def __init__(self, scheme: str, host: str, port: Optional[int],
                  timeout: float, host_header: str,
@@ -272,10 +342,10 @@ class _LeanHTTPConnection:
         if self._file is None:
             raise _WireError("connection is not open")
         self.span_echo = None
-        status_line = self._file.readline(self._MAX_LINE + 1)
+        status_line = self._file.readline(MAX_LINE + 1)
         if not status_line:
             raise _WireError("connection closed before the status line")
-        if len(status_line) > self._MAX_LINE:
+        if len(status_line) > MAX_LINE:
             # Same cap as header lines: readline would otherwise hand back a
             # silent 64 KiB truncation whose remainder misparses as headers.
             raise _WireError("oversized status line")
@@ -286,63 +356,65 @@ class _LeanHTTPConnection:
             status = int(parts[1])
         except ValueError:
             raise _WireError(f"malformed status code in {status_line!r}") from None
-        will_close = parts[0] == b"HTTP/1.0"
-        content_length: Optional[int] = None
-        header_count = 0
-        while True:
-            line = self._file.readline(self._MAX_LINE + 1)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
+        try:
+            raw = read_header_block(self._file.readline)
+            if raw is None:
                 raise _WireError("connection closed inside the response headers")
-            if len(line) > self._MAX_LINE:
-                raise _WireError("oversized response header line")
-            header_count += 1
-            if header_count > 100:
-                # Mirror http.client's _MAXHEADERS: a hostile server could
-                # otherwise stream header lines forever (the socket timeout
-                # never fires while data keeps arriving).
-                raise _WireError("got more than 100 response headers")
-            name, separator, value = line.partition(b":")
-            if not separator:
-                raise _WireError(f"malformed header line {line!r}")
-            name = name.strip().lower()
-            if name == b"content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    raise _WireError(f"malformed Content-Length {value!r}") from None
-                if content_length is not None and length != content_length:
-                    # The server refuses this request shape too: which
-                    # length frames the body is ambiguous (smuggling shape).
-                    raise _WireError("conflicting duplicate Content-Length")
-                content_length = length
-            elif name == b"connection":
-                token = value.strip().lower()
-                if token == b"close":
-                    will_close = True
-                elif token == b"keep-alive":
-                    will_close = False
-            elif name == b"transfer-encoding":
-                # The graph service always frames with Content-Length; a
-                # chunked body means this is not a graph service.
-                raise _WireError("unsupported Transfer-Encoding response")
-            elif name == b"x-repro-span":
-                # Trace echo: the server's completed span (repro-trace v1).
-                self.span_echo = value.strip().decode("iso-8859-1")
-        if content_length is None:
+            length = raw.get(b"content-length")
+            length = None if length is None else content_length(length)
+        except FramingError as error:
+            raise _WireError(f"response refused: {error.message}") from None
+        if b"transfer-encoding" in raw:
+            # The graph service always frames with Content-Length; a
+            # chunked body means this is not a graph service.
+            raise _WireError("unsupported Transfer-Encoding response")
+        connection = raw.get(b"connection", b"").lower()
+        will_close = connection == b"close" or (
+            parts[0] == b"HTTP/1.0" and connection != b"keep-alive"
+        )
+        echo = raw.get(b"x-repro-span")
+        if echo is not None:
+            # Trace echo: the server's completed span (repro-trace v1).
+            self.span_echo = echo.decode("iso-8859-1")
+        if length is None:
             if not will_close:
                 raise _WireError("keep-alive response without Content-Length")
             body = self._file.read()
         else:
-            body = self._file.read(content_length)
-            if len(body) != content_length:
+            body = self._file.read(length)
+            if len(body) != length:
                 raise _WireError(
-                    f"response body truncated at {len(body)}/{content_length} bytes"
+                    f"response body truncated at {len(body)}/{length} bytes"
                 )
         if will_close:
             self._reusable = False
         return status, body
+
+
+class _Request:
+    """One logical request across its attempts (the two-phase handle).
+
+    :meth:`HTTPGraphBackend._begin` opens it and sends attempt 1;
+    :meth:`HTTPGraphBackend._finish` reads each attempt's response and sends
+    the next.  ``connection`` is the one the current attempt was sent on;
+    ``error`` holds a send failure until the attempt is read.
+    """
+
+    __slots__ = ("method", "path", "body", "tracer", "span", "attempt_span",
+                 "registry", "endpoint", "started", "connection", "error")
+
+    def __init__(self, method: str, path: str, body: Optional[bytes]) -> None:
+        self.method = method
+        self.path = path
+        self.body = body
+        self.tracer = obs.current_tracer()
+        self.span = None
+        self.attempt_span = None
+        self.registry = obs.metrics()
+        self.endpoint = "/"
+        self.started = 0.0
+        self.connection: Optional[_LeanHTTPConnection] = None
+        self.error: Optional[Exception] = None
 
 
 class HTTPGraphBackend(GraphBackend):
@@ -354,7 +426,8 @@ class HTTPGraphBackend(GraphBackend):
         timeout: Per-request socket timeout in seconds.
         retries: How many times a failed request is retried (transient
             failures only: timeouts, connection errors, 5xx, malformed JSON).
-            ``retries=3`` means up to four attempts in total.
+            ``retries=3`` means up to four attempts in total, for plain and
+            pipelined (:meth:`begin_fetch_many`) requests alike.
         backoff: Base of the deterministic exponential backoff: retry ``k``
             (1-based) sleeps ``backoff * 2 ** (k - 1)`` seconds.
         sleep: The sleep callable (injectable so tests pin the exact backoff
@@ -408,8 +481,10 @@ class HTTPGraphBackend(GraphBackend):
         self._backoff = float(backoff)
         self._sleep = sleep
         self.api_key = api_key
-        if api_key is not None and not api_key.isprintable():
-            raise ValueError("api_key must be a printable string")
+        if api_key is not None and not (api_key.isascii() and api_key.isprintable()):
+            # Header lines travel as ASCII: a non-ASCII key would fail every
+            # request with an untyped UnicodeEncodeError at send time.
+            raise ValueError("api_key must be a printable ASCII string")
         self._extra_headers = f"X-Api-Key: {api_key}\r\n" if api_key else ""
         self._connection: Optional[_LeanHTTPConnection] = None
         self._info: Optional[Dict[str, Any]] = None
@@ -444,15 +519,6 @@ class HTTPGraphBackend(GraphBackend):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _send(self, method: str, path: str, body: Optional[bytes], headers: str):
-        """One exchange: ``(status, body, X-Repro-Span echo)``."""
-        connection = self._live_connection()
-        connection.send_request(method, path, body, headers)
-        status, data = connection.read_response()
-        if not connection.reusable:
-            self._drop_connection()
-        return status, data, connection.span_echo
 
     @staticmethod
     def _error_payload(data: bytes) -> Dict[str, Any]:
@@ -517,7 +583,15 @@ class HTTPGraphBackend(GraphBackend):
             raise _TransientResponse(f"malformed JSON response body ({error})") from None
 
     def _request(self, method: str, path: str, body: Optional[bytes] = None):
-        """One logical request: retries, backoff and error mapping live here.
+        """One logical request: retries, backoff and error mapping live here."""
+        return self._finish(self._begin(method, path, body))
+
+    def _begin(self, method: str, path: str, body: Optional[bytes]) -> _Request:
+        """Open one logical request and send its first attempt.
+
+        Returns the handle :meth:`_finish` completes; no other request may
+        use this client in between (the sharded tier's pipelined fan-out
+        begins one request per shard client, then finishes each).
 
         Telemetry rides along without changing the schedule: when a tracer
         is active, the logical request gets one ``client.request`` span
@@ -527,108 +601,118 @@ class HTTPGraphBackend(GraphBackend):
         — so a retried request keeps its trace id and every server echo
         hangs off the span that was on the wire for its attempt.  Echo
         values are buffered raw and parsed at export, off the hot path.
-        When the global metrics registry is enabled, requests, retries and
-        latency are counted.
+        When the global metrics registry is enabled, requests, retries,
+        failures and latency are counted, pipelined or not.
         """
-        return self._request_attempts(method, path, body, obs.current_tracer())
-
-    def _request_attempts(self, method, path, body, tracer):
-        registry = obs.metrics()
-        attempts = self._retries + 1
-        failure = "no attempt made"
-        started = 0.0
-        endpoint = "/"
-        if registry is not None:
-            started = time.perf_counter()
+        request = _Request(method, path, body)
+        if request.registry is not None:
+            request.started = time.perf_counter()
             if path.strip("/"):
-                endpoint = "/" + path.lstrip("/").split("/", 1)[0]
-            registry.inc("repro_http_requests_total", endpoint=endpoint)
-        span = None
-        if tracer is not None:
-            span = tracer.start_span(
+                request.endpoint = "/" + path.lstrip("/").split("/", 1)[0]
+            request.registry.inc("repro_http_requests_total", endpoint=request.endpoint)
+        if request.tracer is not None:
+            request.span = request.tracer.start_span(
                 "client.request", kind="client", method=method, path=path,
                 backend=self.name,
             )
+        self._send_attempt(request, 0)
+        return request
+
+    def _send_attempt(self, request: _Request, attempt: int) -> None:
+        """Send attempt ``attempt + 1``; a failure surfaces when it is read."""
+        headers = ""
+        span = request.span
+        if span is not None:
+            wire_span_id = span.span_id
+            if attempt:
+                request.attempt_span = request.tracer.start_span(
+                    "client.attempt", kind="client",
+                    parent=(span.trace_id, span.span_id), attempt=attempt + 1,
+                )
+                wire_span_id = request.attempt_span.span_id
+            headers = f"{TRACE_HEADER}: " + format_trace_header(
+                span.trace_id, wire_span_id
+            ) + "\r\n"
+        request.connection = self._live_connection()
         try:
-            return self._run_attempts(
-                method, path, body, tracer, registry, span,
-                attempts, failure, started, endpoint,
+            request.connection.send_request(
+                request.method, request.path, request.body, headers
+            )
+            request.error = None
+        except (_WireError, OSError) as error:
+            request.error = error
+
+    def _finish(self, request: _Request):
+        """Complete a :meth:`_begin` request: the one bounded attempt loop.
+
+        Transient failures — timeouts, dropped or malformed connections,
+        5xx, malformed JSON — are retried with deterministic exponential
+        backoff, ``retries + 1`` attempts in total (attempt 1 was sent by
+        :meth:`_begin`); everything else maps to a typed error at once.
+        """
+        tracer, span, registry = request.tracer, request.span, request.registry
+        attempts = self._retries + 1
+        failure = "no attempt made"
+        try:
+            for attempt in range(attempts):
+                if attempt:
+                    # Deterministic exponential backoff: 1x, 2x, 4x, ... the base.
+                    self._sleep(self._backoff * (2 ** (attempt - 1)))
+                    if registry is not None:
+                        registry.inc("repro_http_retries_total", endpoint=request.endpoint)
+                    self._send_attempt(request, attempt)
+                connection = request.connection
+                try:
+                    if request.error is not None:
+                        raise request.error
+                    status, data = connection.read_response()
+                except (_WireError, OSError) as error:
+                    # Timeout, refused connection, reset mid-response, stale
+                    # keep-alive socket, malformed framing: drop the
+                    # connection and retry.
+                    self._drop_connection()
+                    failure = f"{type(error).__name__}: {error}"
+                    if span is not None:
+                        (request.attempt_span or span).tags["error"] = failure
+                        if request.attempt_span is not None:
+                            tracer.finish(request.attempt_span)
+                    continue
+                if not connection.reusable:
+                    self._drop_connection()
+                if span is not None:
+                    if request.attempt_span is not None:
+                        tracer.finish(request.attempt_span)
+                    tracer.record_echo_raw(connection.span_echo)
+                try:
+                    result = self._interpret(request.method, request.path, status, data)
+                except _TransientResponse as error:
+                    failure = str(error)
+                    if span is not None:
+                        (request.attempt_span or span).tags["transient"] = failure
+                    continue
+                if registry is not None:
+                    registry.observe(
+                        "repro_http_request_ms",
+                        (time.perf_counter() - request.started) * 1000.0,
+                        endpoint=request.endpoint,
+                    )
+                return result
+            if registry is not None:
+                registry.inc("repro_http_failures_total", endpoint=request.endpoint)
+            if span is not None:
+                span.tags["failed"] = failure
+            raise RemoteBackendError(
+                f"{request.method} {request.path} failed after {attempts} attempt"
+                f"{'s' if attempts != 1 else ''}: {failure}",
+                url=self.base_url,
+                attempts=attempts,
             )
         finally:
             # Non-transient outcomes (404 -> NodeNotFoundError, bad batch
             # payloads) propagate from _interpret; the request span must
             # still land in the trace.
-            if span is not None and span.duration_ms is None:
-                tracer.finish(span)
-
-    def _run_attempts(
-        self, method, path, body, tracer, registry, span,
-        attempts, failure, started, endpoint,
-    ):
-        for attempt in range(attempts):
-            if attempt:
-                # Deterministic exponential backoff: 1x, 2x, 4x, ... the base.
-                self._sleep(self._backoff * (2 ** (attempt - 1)))
-                if registry is not None:
-                    registry.inc("repro_http_retries_total", endpoint=endpoint)
-            attempt_span = None
-            headers = ""
-            if span is not None:
-                if attempt:
-                    attempt_span = tracer.start_span(
-                        "client.attempt", kind="client",
-                        parent=(span.trace_id, span.span_id),
-                        attempt=attempt + 1,
-                    )
-                    wire_span_id = attempt_span.span_id
-                else:
-                    wire_span_id = span.span_id
-                headers = f"{TRACE_HEADER}: " + format_trace_header(
-                    span.trace_id, wire_span_id
-                ) + "\r\n"
-            try:
-                status, data, span_echo = self._send(method, path, body, headers)
-            except (_WireError, OSError) as error:
-                # Timeout, refused connection, reset mid-response, stale
-                # keep-alive socket, malformed framing: drop the connection
-                # and retry.
-                self._drop_connection()
-                failure = f"{type(error).__name__}: {error}"
-                if span is not None:
-                    (attempt_span or span).tags["error"] = failure
-                    if attempt_span is not None:
-                        tracer.finish(attempt_span)
-                continue
-            if span is not None:
-                if attempt_span is not None:
-                    tracer.finish(attempt_span)
-                tracer.record_echo_raw(span_echo)
-            try:
-                result = self._interpret(method, path, status, data)
-            except _TransientResponse as error:
-                failure = str(error)
-                if span is not None:
-                    (attempt_span or span).tags["transient"] = failure
-                continue
-            if registry is not None:
-                registry.observe(
-                    "repro_http_request_ms",
-                    (time.perf_counter() - started) * 1000.0,
-                    endpoint=endpoint,
-                )
             if span is not None:
                 tracer.finish(span)
-            return result
-        if registry is not None:
-            registry.inc("repro_http_failures_total", endpoint=endpoint)
-        if span is not None:
-            span.tags["failed"] = failure
-        raise RemoteBackendError(
-            f"{method} {path} failed after {attempts} attempt"
-            f"{'s' if attempts != 1 else ''}: {failure}",
-            url=self.base_url,
-            attempts=attempts,
-        )
 
     # ------------------------------------------------------------------
     # GraphBackend interface
@@ -660,11 +744,7 @@ class HTTPGraphBackend(GraphBackend):
         return [record_from_wire(record) for record in records]
 
     def fetch_many(self, nodes: Sequence[NodeId]) -> List[RawRecord]:
-        order, body = self._encode_batch(nodes)
-        if not order:
-            return []
-        payload = self._request("POST", f"{self._prefix}/nodes", body=body)
-        return self._decode_batch(payload, len(order))
+        return self.end_fetch_many(self.begin_fetch_many(nodes))
 
     # ------------------------------------------------------------------
     # Pipelined batched fetch (the sharded tier's fan-out primitive)
@@ -676,72 +756,24 @@ class HTTPGraphBackend(GraphBackend):
         :meth:`end_fetch_many` before any other request on this client.  A
         :class:`~repro.cluster.ShardedBackend` posts every shard's sub-batch
         first and collects the responses afterwards, so the shard servers
-        work concurrently instead of one waiting on the next — the request
-        is a read, so a failed pipelined send is simply retried through the
-        normal bounded-retry path by :meth:`end_fetch_many`.
+        work concurrently instead of one waiting on the next.
         """
         order, body = self._encode_batch(nodes)
-        sent = False
-        span = None
-        if order:
-            tracer = obs.current_tracer()
-            headers = ""
-            if tracer is not None:
-                span = tracer.start_span(
-                    "client.request", kind="client", method="POST",
-                    path="/nodes", pipelined=True, backend=self.name,
-                )
-                headers = f"{TRACE_HEADER}: " + format_trace_header(
-                    span.trace_id, span.span_id
-                ) + "\r\n"
-            try:
-                self._live_connection().send_request(
-                    "POST", f"{self._prefix}/nodes", body, headers
-                )
-                sent = True
-            except (_WireError, OSError):
-                # Stale keep-alive socket, refused connection: drop it and
-                # let end_fetch_many's fallback re-send with retries.
-                self._drop_connection()
-        return order, sent, span
+        if not order:
+            return order, None
+        return order, self._begin("POST", f"{self._prefix}/nodes", body)
 
     def end_fetch_many(self, handle) -> List[RawRecord]:
         """Collect the response of a :meth:`begin_fetch_many` call.
 
-        Node-level misses raise the usual typed errors; transient failures
-        (dropped connection, 5xx, malformed body) fall back to a fresh
-        :meth:`fetch_many`, which re-sends the batch with the full bounded
-        retry schedule.
+        The request continues the same bounded retry loop as every other
+        request: node-level misses raise the usual typed errors, transient
+        failures re-send the batch, ``retries + 1`` attempts in total.
         """
-        order, sent, span = handle
-        if not order:
+        order, request = handle
+        if request is None:
             return []
-        # ``sent`` with no live connection means something dropped it between
-        # begin and end (it shouldn't happen in the strict begin/end pairing,
-        # but a None here must degrade to the re-send path, not AttributeError).
-        connection = self._connection
-        tracer = obs.current_tracer() if span is not None else None
-        if sent and connection is not None:
-            path = f"{self._prefix}/nodes"
-            try:
-                status, data = connection.read_response()
-                if not connection.reusable:
-                    self._drop_connection()
-                if tracer is not None:
-                    tracer.finish(span)
-                    tracer.record_echo_raw(connection.span_echo)
-                    span = None
-                return self._decode_batch(
-                    self._interpret("POST", path, status, data), len(order)
-                )
-            except (_WireError, OSError):
-                self._drop_connection()
-            except _TransientResponse:
-                pass
-        if tracer is not None and span is not None:
-            span.tags["fallback"] = True
-            tracer.finish(span)
-        return self.fetch_many(order)
+        return self._decode_batch(self._finish(request), len(order))
 
     # ------------------------------------------------------------------
     # Server-side walks (the service's POST /walk)

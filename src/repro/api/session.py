@@ -468,7 +468,7 @@ class SamplingSession:
         """Close the session's backend (delegates to ``GraphBackend.close``).
 
         Remote and sharded backends hold real resources — keep-alive sockets,
-        shard dispatch pools — which this releases deterministically; local
+        one per shard of a cluster — which this releases deterministically; local
         backends close as a no-op.  The session object stays usable (a later
         query reconnects), and sessions are context managers::
 

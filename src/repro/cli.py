@@ -243,7 +243,7 @@ def _run_walk(args: argparse.Namespace) -> None:
         _drive_walk(args, source, graph, start)
     finally:
         # Release whatever the source holds (remote keep-alive sockets,
-        # shard dispatch pools); local backends close as a no-op.
+        # one per shard of a cluster); local backends close as a no-op.
         if isinstance(source, GraphBackend):
             source.close()
 

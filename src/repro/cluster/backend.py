@@ -4,13 +4,12 @@
 :class:`~repro.api.remote.HTTPGraphBackend` clients driving N ``serve``
 processes, but any :class:`~repro.api.backend.GraphBackend` works — as one
 backend: ``fetch`` routes by ring lookup (memoised per node), ``fetch_many``
-splits a batch into per-shard sub-batches dispatched *concurrently* over the
-shards' keep-alive connections and re-merged in request order, and
-``metadata`` / ``contains`` / ``node_ids`` / ``sample_node`` federate across
-the shards.  HTTP shards are dispatched by *pipelining*: every sub-batch is
+splits a batch into per-shard sub-batches and re-merges them in request
+order, and ``metadata`` / ``contains`` / ``node_ids`` / ``sample_node``
+federate across the shards.  HTTP shards are *pipelined*: every sub-batch is
 posted before the first response is read, so the shard servers work in
-parallel without any client-side threads; backends that cannot pipeline fan
-out over a thread pool (one worker per shard) instead.  Because every
+parallel without any client-side threads; other backends (in-process shard
+slices) are fetched in turn as their responses are collected.  Because every
 policy (cache, budget, rate limit, trace) sits in middleware above the
 backend protocol, a kernel walking a sharded cluster is bit-identical to
 the same kernel walking the unpartitioned graph — the conformance suite
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -76,32 +74,17 @@ DEFAULT_FAILOVER_COOLDOWN = 1.0
 DEFAULT_ROUTE_CACHE = 262_144
 
 
-def _raiser(error: Exception):
-    """A collector that re-raises a failure captured during the send phase."""
-    def collect():
-        raise error
-    return collect
+def _raise(error: Exception):
+    """Re-raise a failure captured when a shard's sub-batch was started."""
+    raise error
 
 
-def _collector(backend, handle):
-    """A collector that finishes one shard's pipelined batched fetch."""
-    def collect():
-        return backend.end_fetch_many(handle)
-    return collect
-
-
-def _traced_collect(tracer, span, collect):
-    """Finish ``span`` when the shard's pipelined response is collected."""
-    def run():
-        try:
-            with tracer.scope(span.trace_id, span.span_id):
-                return collect()
-        except Exception:
-            span.tags["error"] = True
-            raise
-        finally:
-            tracer.finish(span)
-    return run
+def _in_span(tracer, span, call, argument):
+    """``call(argument)`` with ``span`` as the active trace context, if any."""
+    if span is None:
+        return call(argument)
+    with tracer.scope(span.trace_id, span.span_id):
+        return call(argument)
 
 
 class ShardedBackend(GraphBackend):
@@ -125,8 +108,8 @@ class ShardedBackend(GraphBackend):
 
     The cluster is treated as immutable for the lifetime of the backend
     (like every other backend): per-shard sizes and the federated node-id
-    table are fetched once and cached.  ``close()`` shuts the dispatch pool
-    down and closes every shard backend; the class is a context manager.
+    table are fetched once and cached.  ``close()`` closes every shard
+    backend; the class is a context manager.
     """
 
     def __init__(
@@ -161,7 +144,6 @@ class ShardedBackend(GraphBackend):
             getattr(backend, "base_url", None) or backend.name
             for backend in self._shards
         ]
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._sizes: Optional[List[int]] = None
         self._node_ids: Optional[List[NodeId]] = None
         # Ring lookups hash the JSON-encoded id; walks revisit nodes heavily,
@@ -177,12 +159,6 @@ class ShardedBackend(GraphBackend):
         self._cooldown = float(failover_cooldown)
         self._clock = clock
         self._rr = 0  # round-robin cursor spreading reads across replicas
-        # Every shard speaking the pipelined two-phase protocol lets a batch
-        # post all sub-batches before reading any response.
-        self._pipelined = all(
-            hasattr(backend, "begin_fetch_many") and hasattr(backend, "end_fetch_many")
-            for backend in self._shards
-        )
         self.name = name if name is not None else f"cluster:{len(self._shards)}"
 
     # ------------------------------------------------------------------
@@ -380,17 +356,20 @@ class ShardedBackend(GraphBackend):
                     )
                 sub_positions.setdefault(shard, []).append(position)
             pending = []
-            for shard, positions, collect in self._dispatch(sub_positions, order):
-                try:
-                    shard_records = collect()
-                except NodeNotFoundError as error:
+            for shard, positions, shard_records, error in self._dispatch(
+                sub_positions, order
+            ):
+                if error is None:
+                    for position, record in zip(positions, shard_records):
+                        records[position] = record
+                elif isinstance(error, NodeNotFoundError):
                     # A missing node aborts the whole batch, mirroring a
                     # local sequential fetch_many; remember the first miss
                     # but keep draining the other shards so no response is
                     # abandoned mid-air and every connection stays reusable.
                     if miss is None:
                         miss = error
-                except Exception as error:
+                else:
                     self._mark_dead(shard)
                     registry = obs.metrics()
                     if registry is not None:
@@ -407,74 +386,30 @@ class ShardedBackend(GraphBackend):
                     for position in positions:
                         tried.setdefault(position, set()).add(shard)
                     pending.extend(positions)
-                else:
-                    for position, record in zip(positions, shard_records):
-                        records[position] = record
             if miss is not None:
                 raise miss
         return records  # type: ignore[return-value]
 
     def _dispatch(self, sub_positions: Dict[int, List[int]], order: List[NodeId]):
-        """Build ``(shard, positions, collect)`` tasks for one round."""
-        if len(sub_positions) == 1:
-            # Single-shard round: call straight through, no pipelining or
-            # pool overhead.
-            ((shard, positions),) = sub_positions.items()
-            backend = self._shards[shard]
-            batch = [order[position] for position in positions]
-            return [(shard, positions, lambda: list(backend.fetch_many(batch)))]
-        if self._pipelined:
-            return self._dispatch_pipelined(sub_positions, order)
-        # Pool fan-out: worker threads have no span context of their own, so
-        # when a tracer is active the dispatching thread's (trace, span) pair
-        # is adopted inside each worker — shard spans stay in the one trace.
-        tracer = obs.current_tracer()
-        context = tracer.current() if tracer is not None else None
+        """Run one round: start every shard's sub-batch, then collect in order.
 
-        def submit(shard: int, batch: List[NodeId]):
-            backend = self._shards[shard]
-            if context is None:
-                return self._dispatch_pool().submit(backend.fetch_many, batch)
+        Yields ``(shard, positions, records, error)`` per sub-batch, with
+        exactly one of ``records`` / ``error`` set.  A shard backend with
+        ``begin_fetch_many`` (an HTTP client) is posted at start, so every
+        request is in flight before the first response is read and the
+        shard servers work concurrently without client-side threads; any
+        other backend's ``fetch_many`` runs when its turn to be collected
+        comes.  ``begin`` touches only its own shard's connection, and every
+        sub-batch is collected before the caller acts on any failure, so an
+        aborted batch still drains each posted response and leaves every
+        connection reusable.
 
-            def run():
-                with tracer.scope(*context):
-                    with tracer.span(
-                        "shard.fetch", kind="shard", shard=self._labels[shard],
-                        nodes=len(batch),
-                    ):
-                        return backend.fetch_many(batch)
-
-            return self._dispatch_pool().submit(run)
-
-        return [
-            (shard, positions, submit(
-                shard, [order[position] for position in positions]).result)
-            for shard, positions in sub_positions.items()
-        ]
-
-    def _dispatch_pipelined(
-        self, sub_positions: Dict[int, List[int]], order: List[NodeId]
-    ):
-        """Post every shard's sub-batch, then return response collectors.
-
-        All requests are in flight before the first response is read, so the
-        shard servers work concurrently without any client-side threads —
-        on loopback this beats a thread pool (no future/GIL churn), and over
-        a real network the in-flight overlap is the same.
-
-        A shard whose ``begin_fetch_many`` raises becomes a ``_raiser``
-        task.  ``begin`` either sent on (or dropped) that shard's own
-        connection and touched nothing else, and the caller collects every
-        task before acting on any failure — so an aborted batch still drains
-        each posted response and leaves every connection reusable.
-
-        When a tracer is active each shard's sub-batch gets a
-        ``shard.fetch`` span opened when its request is posted and finished
-        when its response is collected, so the span covers the true
-        in-flight window of the pipelined round.
+        When a tracer is active each sub-batch gets a ``shard.fetch`` span,
+        opened at start and finished at collection, so it covers the
+        sub-batch's true in-flight window.
         """
         tracer = obs.current_tracer()
-        tasks = []
+        started = []
         for shard, positions in sub_positions.items():
             backend = self._shards[shard]
             batch = [order[position] for position in positions]
@@ -482,25 +417,31 @@ class ShardedBackend(GraphBackend):
             if tracer is not None:
                 span = tracer.start_span(
                     "shard.fetch", kind="shard", shard=self._labels[shard],
-                    nodes=len(batch), pipelined=True,
+                    nodes=len(batch),
                 )
+            begin = getattr(backend, "begin_fetch_many", None)
+            if begin is None:
+                started.append((shard, positions, span, backend.fetch_many, batch))
+                continue
             try:
-                if span is not None:
-                    with tracer.scope(span.trace_id, span.span_id):
-                        handle = backend.begin_fetch_many(batch)
-                else:
-                    handle = backend.begin_fetch_many(batch)
+                handle = _in_span(tracer, span, begin, batch)
             except Exception as error:
+                started.append((shard, positions, span, _raise, error))
+            else:
+                started.append(
+                    (shard, positions, span, backend.end_fetch_many, handle)
+                )
+        for shard, positions, span, collect, argument in started:
+            records = error = None
+            try:
+                records = _in_span(tracer, span, collect, argument)
+            except Exception as caught:
+                error = caught
                 if span is not None:
                     span.tags["error"] = True
-                    tracer.finish(span)
-                tasks.append((shard, positions, _raiser(error)))
-            else:
-                collect = _collector(backend, handle)
-                if span is not None:
-                    collect = _traced_collect(tracer, span, collect)
-                tasks.append((shard, positions, collect))
-        return tasks
+            if span is not None:
+                tracer.finish(span)
+            yield shard, positions, records, error
 
     def node_ids(self) -> List[NodeId]:
         return list(self._all_node_ids())
@@ -567,13 +508,6 @@ class ShardedBackend(GraphBackend):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _dispatch_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=len(self._shards), thread_name_prefix="repro-cluster"
-            )
-        return self._pool
-
     def verify_epoch(self) -> None:
         """Best-effort check that reachable shards serve our manifest epoch.
 
@@ -607,16 +541,12 @@ class ShardedBackend(GraphBackend):
                 )
 
     def close(self) -> None:
-        """Shut the dispatch pool down and close every shard backend.
+        """Close every shard backend.
 
         Closing is best-effort across all shards: a shard whose ``close``
         raises does not abandon the remaining shards' keep-alive sockets
         (the first error re-raises after everything was attempted).
         """
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
         first_error: Optional[BaseException] = None
         for backend in self._shards:
             try:

@@ -524,8 +524,8 @@ class Tracer:
     """Collects the spans of one or more traces.
 
     Span *context* (which span is the current parent) is a per-thread stack;
-    the finished-span list is shared under a lock, so fan-out worker threads
-    may finish spans concurrently.  ``clock`` and ``idgen`` are injectable
+    the finished-span list is shared under a lock, so several threads may
+    finish spans concurrently.  ``clock`` and ``idgen`` are injectable
     for deterministic tests.
     """
 
@@ -711,9 +711,9 @@ class Tracer:
 # ----------------------------------------------------------------------
 # Active-tracer plumbing
 # ----------------------------------------------------------------------
-#: Module-global active tracer: fan-out worker threads (the sharded tier's
-#: dispatch pool) see the same tracer the main thread activated, because a
-#: plain thread-local would leave their spans orphaned in a fresh trace.
+#: Module-global active tracer: every thread sees the same tracer the main
+#: thread activated, because a plain thread-local would leave spans opened
+#: on other threads orphaned in a fresh trace.
 _ACTIVE_TRACER: Optional[Tracer] = None
 _TRACER_TLS = threading.local()
 

@@ -18,7 +18,7 @@ import threading
 import weakref
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..api.remote import WIRE_FORMAT, WIRE_VERSION
 from .service import GraphService, as_service
@@ -30,8 +30,8 @@ from .wire import (
     interim_response,
     reachable_url,
     render_refusal,
+    read_header_block,
     render_response,
-    store_header_line,
 )
 
 
@@ -92,24 +92,20 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         self.requestline = requestline
         self.command, self.path, self.request_version = words
         self.close_connection = False
-        raw: Dict[bytes, bytes] = {}
-        while True:
-            line = self.rfile.readline(MAX_LINE + 1)
-            if not line:
-                # EOF mid-headers: the client died (or shut its write side)
-                # before finishing the request.  This is *not* the blank line
-                # that ends a header block — dispatching the half-sent
-                # request would serve a response nobody can receive, and for
-                # a POST it would misread whatever never arrived.  Drop the
-                # connection without responding.
-                self.close_connection = True
-                return False
-            try:
-                if store_header_line(raw, line):
-                    break
-            except FramingError as error:
-                self._refuse(error)
-                return False
+        try:
+            raw = read_header_block(self.rfile.readline)
+        except FramingError as error:
+            self._refuse(error)
+            return False
+        if raw is None:
+            # EOF mid-headers: the client died (or shut its write side)
+            # before finishing the request.  This is *not* the blank line
+            # that ends a header block — dispatching the half-sent request
+            # would serve a response nobody can receive, and for a POST it
+            # would misread whatever never arrived.  Drop the connection
+            # without responding.
+            self.close_connection = True
+            return False
         self.headers = LeanHeaders(raw)
         if raw.get(b"connection", b"").lower() == b"close":
             self.close_connection = True

@@ -6,14 +6,14 @@ apart from the socket handling, so it can be read and tested on its own:
 
 * :class:`LeanHeaders` — the case-insensitive raw-bytes header map the fast
   request path builds instead of an ``email.message.Message``;
-* :func:`store_header_line` — one header line into that map, enforcing the
+* :func:`read_header_block` — one header block into that map, enforcing the
   size caps and rejecting malformed lines *and conflicting duplicates* (two different
   ``Content-Length`` values is the classic request-smuggling shape: whichever
   copy a proxy honours, this service must refuse rather than pick one);
 * :func:`body_length` — how many body bytes follow the headers: only a
-  plain non-negative ``Content-Length`` of at most :data:`MAX_BODY` frames a
-  body, and any request ``Transfer-Encoding`` is refused (the CL/TE
-  smuggling shape);
+  plain non-negative ``Content-Length`` (:func:`content_length`) of at most
+  :data:`MAX_BODY` frames a body, and any request ``Transfer-Encoding`` is
+  refused (the CL/TE smuggling shape);
 * :func:`interim_response` — the ``100 Continue`` an
   ``Expect: 100-continue`` client waits for, sent before the body is read;
 * :func:`render_response` / :func:`render_refusal` — the bytes of one
@@ -24,6 +24,12 @@ apart from the socket handling, so it can be read and tested on its own:
 The request caps are :data:`MAX_LINE` bytes per line and
 :data:`MAX_HEADERS` header lines (the stdlib's sanity caps), and
 :data:`MAX_BODY` body bytes.
+
+The header-block rules (:func:`read_header_block`, :func:`content_length`,
+the line caps and :class:`FramingError`) frame responses on the client too,
+so they are defined beside the client transport in :mod:`repro.api.remote`
+and re-exported here: the client cannot import this package, whose
+``__init__`` imports the service, which imports the client.
 """
 
 from __future__ import annotations
@@ -32,10 +38,14 @@ import json
 from http import HTTPStatus
 from typing import Dict, Iterable, Tuple
 
-#: Hard cap on one request/status/header line (mirrors http.client).
-MAX_LINE = 65536
-#: Hard cap on header lines per request (mirrors http.client's _MAXHEADERS).
-MAX_HEADERS = 100
+from ..api.remote import (  # noqa: F401 - re-exported framing rules
+    MAX_HEADERS,
+    MAX_LINE,
+    FramingError,
+    content_length,
+    read_header_block,
+)
+
 #: Hard cap on one request body, checked before any body byte is read.  The
 #: largest body an in-repo client builds is a ``POST /nodes`` id list: one id
 #: per walker in a scheduler round, or at most a served graph's whole id
@@ -74,50 +84,6 @@ class LeanHeaders:
         return value.decode("iso-8859-1") if value is not None else default
 
 
-class FramingError(Exception):
-    """A request the server must refuse before routing, with the status to answer."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-def store_header_line(raw: Dict[bytes, bytes], line: bytes) -> bool:
-    """Fold one line of a header block into the lowercased ``raw`` map.
-
-    Returns True for the blank line that ends the block.  Raises
-    :class:`FramingError` with 431 past the :data:`MAX_LINE` /
-    :data:`MAX_HEADERS` caps (without them one connection could grow the
-    map without bound), and with 400 on a line without a colon and on
-    *conflicting duplicates* — the same header name arriving twice with
-    different values.  Two ``Content-Length`` headers that disagree are a
-    request-smuggling probe, not a client bug to paper over; refusing every
-    conflicting duplicate (not just Content-Length) keeps the rule simple
-    and the parser state canonical.  Repeats with the *same* value stay
-    accepted, as retrying proxies occasionally produce them harmlessly.
-    """
-    if len(line) > MAX_LINE:
-        raise FramingError(431, "Line too long")
-    if line in (b"\r\n", b"\n"):
-        return True
-    if len(raw) >= MAX_HEADERS:
-        raise FramingError(431, "Too many headers")
-    name, separator, value = line.partition(b":")
-    if not separator:
-        raise FramingError(400, f"Malformed header line {line!r}")
-    key = name.strip().lower()
-    value = value.strip()
-    previous = raw.get(key)
-    if previous is not None and previous != value:
-        raise FramingError(
-            400,
-            f"Conflicting duplicate header {key.decode('iso-8859-1')!r}",
-        )
-    raw[key] = value
-    return False
-
-
 def body_length(headers) -> int:
     """The request body's length in bytes, or :class:`FramingError`.
 
@@ -134,9 +100,7 @@ def body_length(headers) -> int:
     value = headers.get("Content-Length")
     if value is None:
         return 0
-    if not (value.isascii() and value.isdigit()):
-        raise FramingError(400, f"Content-Length {value!r} is not a non-negative integer")
-    length = int(value)
+    length = content_length(value)
     if length > MAX_BODY:
         raise FramingError(
             413, f"request body of {length} bytes exceeds the {MAX_BODY}-byte limit"

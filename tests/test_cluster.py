@@ -929,14 +929,26 @@ class TestAbortedBatchDrain:
         with self._cluster(flaky_servers) as cluster:
             batch = reference.node_ids()[:12]
             assert {cluster.shard_of(node) for node in batch} == {0, 1, 2}
-            # Two 500s: one for the pipelined response, one for the replay.
-            flaky_servers[1].fault_plan = deque(["500", "500"])
+            # One 500: with retries=0 the pipelined request is the only
+            # attempt (no re-send outside the bounded retry loop).
+            flaky_servers[1].fault_plan = deque(["500"])
             with pytest.raises(ShardError) as excinfo:
                 cluster.fetch_many(batch)
             assert excinfo.value.shard == 1
             # The healthy shards' keep-alive connections were fully drained,
             # so the very next pipelined batch reuses them and succeeds.
             assert cluster.fetch_many(batch) == reference.fetch_many(batch)
+
+    def test_failing_shard_gets_exactly_retries_plus_one_requests(
+        self, cluster_dir, flaky_servers, reference
+    ):
+        with self._cluster(flaky_servers) as cluster:
+            batch = reference.node_ids()[:12]
+            flaky_servers[1].fault_plan = deque(["500"] * 3)
+            with pytest.raises(ShardError):
+                cluster.fetch_many(batch)
+            # retries=0: one attempt in total, pipelined or not.
+            assert [s.service.endpoint_counts["/nodes"] for s in flaky_servers] == [1, 1, 1]
 
     def test_second_batch_succeeds_after_a_miss_abort(
         self, cluster_dir, flaky_servers, reference

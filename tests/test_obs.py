@@ -30,7 +30,7 @@ from repro.api import (
     SamplingSession,
 )
 from repro.cluster import HashRing, ShardedBackend
-from repro.exceptions import NodeNotFoundError, ShardError
+from repro.exceptions import NodeNotFoundError, RemoteBackendError, ShardError
 from repro.graphs import load_dataset
 from repro.obs import (
     MetricsRegistry,
@@ -314,6 +314,107 @@ class TestRetryTracing:
 
 
 # ----------------------------------------------------------------------
+# Pipelined requests share the one attempt loop
+# ----------------------------------------------------------------------
+class TestPipelinedRequests:
+    @pytest.fixture(scope="class")
+    def shard_dir(self, obs_graph, tmp_path_factory):
+        from repro.cluster import partition_snapshot
+        from repro.storage import save_snapshot
+
+        base = tmp_path_factory.mktemp("obs-shards")
+        snapshot = save_snapshot(obs_graph, base / "snap")
+        return partition_snapshot(snapshot, base / "parts", shards=3)
+
+    def test_retried_pipelined_request_is_one_span_with_attempt_children(
+        self, obs_backend, graph_server
+    ):
+        from collections import deque
+
+        server = graph_server(obs_backend, handler_class=FlakyHTTPHandler)
+        server.fault_plan = deque(["500"])
+        batch = obs_backend.node_ids()[:4]
+        tracer = Tracer()
+        with HTTPGraphBackend(server.url, retries=1, backoff=0.0,
+                              sleep=lambda _: None) as client:
+            with obs.telemetry() as registry, obs.use_tracer(tracer):
+                records = client.end_fetch_many(client.begin_fetch_many(batch))
+        assert records == obs_backend.fetch_many(batch)
+        spans = tracer.spans()
+        requests = [s for s in spans if s.name == "client.request"]
+        attempts = [s for s in spans if s.name == "client.attempt"]
+        assert len(requests) == 1
+        assert [s.tags["attempt"] for s in attempts] == [2]
+        assert attempts[0].parent_id == requests[0].span_id
+        assert requests[0].tags["transient"]
+        assert registry.value("repro_http_requests_total", endpoint="/nodes") == 1
+        assert registry.value("repro_http_retries_total", endpoint="/nodes") == 1
+        assert registry.histogram(
+            "repro_http_request_ms", endpoint="/nodes")["count"] == 1
+
+    def test_failed_pipelined_request_makes_retries_plus_one_attempts(
+        self, obs_backend, graph_server
+    ):
+        from collections import deque
+
+        server = graph_server(obs_backend, handler_class=FlakyHTTPHandler)
+        server.fault_plan = deque(["500"] * 5)
+        batch = obs_backend.node_ids()[:4]
+        with HTTPGraphBackend(server.url, retries=2, backoff=0.0,
+                              sleep=lambda _: None) as client:
+            with obs.telemetry() as registry:
+                handle = client.begin_fetch_many(batch)
+                with pytest.raises(RemoteBackendError, match="after 3 attempts"):
+                    client.end_fetch_many(handle)
+        assert server.service.endpoint_counts["/nodes"] == 3
+        assert registry.value("repro_http_failures_total", endpoint="/nodes") == 1
+        server.fault_plan.clear()
+
+    def test_cluster_client_counts_every_shard_request(
+        self, shard_dir, obs_backend, graph_server
+    ):
+        from repro.cluster import load_shard
+
+        servers = [
+            graph_server(load_shard(shard_dir / f"shard-{shard:02d}"))
+            for shard in range(3)
+        ]
+        nodes = obs_backend.node_ids()
+        with obs.telemetry() as registry:
+            with ShardedBackend(
+                [HTTPGraphBackend(server.url) for server in servers], HashRing(3)
+            ) as cluster:
+                for start in range(0, 120, 12):
+                    cluster.fetch_many(nodes[start:start + 12])
+        served = sum(server.service.endpoint_counts["/nodes"] for server in servers)
+        assert served >= 10
+        assert registry.value("repro_http_requests_total", endpoint="/nodes") == served
+
+    def test_path_shard_cluster_spans_every_sub_batch(self, shard_dir, obs_backend):
+        from repro.cluster import load_shard
+
+        cluster = ShardedBackend(
+            [load_shard(shard_dir / f"shard-{shard:02d}") for shard in range(3)],
+            HashRing(3),
+        )
+        nodes = obs_backend.node_ids()
+        one_shard = [node for node in nodes if cluster.shard_of(node) == 0][:3]
+        batches = [one_shard, nodes[:12]]
+        tracer = Tracer()
+        with obs.use_tracer(tracer):
+            for batch in batches:
+                with tracer.span("batch"):
+                    assert cluster.fetch_many(batch) == obs_backend.fetch_many(batch)
+        spans = tracer.spans()
+        roots = [s for s in spans if s.name == "batch"]
+        for root, batch in zip(roots, batches):
+            shard_spans = [s for s in spans
+                           if s.name == "shard.fetch" and s.parent_id == root.span_id]
+            assert len(shard_spans) == len({cluster.shard_of(n) for n in batch})
+            assert sum(s.tags["nodes"] for s in shard_spans) == len(batch)
+
+
+# ----------------------------------------------------------------------
 # Trace + metrics through replica failover
 # ----------------------------------------------------------------------
 class TestFailoverTracing:
@@ -560,8 +661,8 @@ class TestEndToEndClusterTrace:
         root = next(s for s in spans if s["kind"] == "session")
         assert root["name"] == "session.ensemble"
         assert root["parent_id"] is None
-        # Shard fan-out spans stay inside the tree even though they run on
-        # pool worker threads.
+        # Shard fan-out spans stay inside the tree: each sub-batch's span
+        # opens under the ensemble's context when it is posted.
         shard_spans = [s for s in spans if s["name"] == "shard.fetch"]
         assert shard_spans
         assert all(s["trace_id"] == root["trace_id"] for s in shard_spans)

@@ -120,6 +120,13 @@ class TestClientBasics:
         with pytest.raises(ValueError):
             HTTPGraphBackend("http://localhost:1", retries=-1)
 
+    @pytest.mark.parametrize("key", ["clé-1", "key\n1"])
+    def test_rejects_keys_that_cannot_travel_as_a_header(self, key):
+        # A non-ASCII key used to be accepted here and then fail every
+        # request with an untyped UnicodeEncodeError at send time.
+        with pytest.raises(ValueError, match="printable ASCII"):
+            HTTPGraphBackend("http://localhost:1", api_key=key)
+
     def test_info_descriptor_and_len(self, graph_server, local_backend):
         server = graph_server(local_backend)
         with HTTPGraphBackend(server.url) as client:

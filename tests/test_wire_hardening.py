@@ -34,6 +34,14 @@ socket level, against a live server (the framing rules live in
    of two disagreeing ``Content-Length`` response headers, read a body of
    the wrong length and left the socket reusable; now it raises its wire
    error, so the connection is dropped as for any malformed response.
+10. **Header cap counts lines** — ``MAX_HEADERS`` used to cap distinct
+    header *names*, so 5000 identical ``X-Pad`` lines were served; now the
+    101st header line answers 431 + close, and the client keeps its own
+    response cap, which already counted lines.
+11. **Client Content-Length is digits only** — the client used to frame a
+    response with ``int()``: ``-1`` read until the socket timeout and ``+2``
+    was accepted; now any value that is not plain digits is a wire error,
+    the server's own rule for requests.
 
 Every socket-level probe runs twice (the ``connect`` fixture): as the first
 request of a fresh connection, and as the request that follows a served
@@ -55,7 +63,13 @@ from repro.api.remote import _LeanHTTPConnection, _WireError
 from repro.exceptions import RemoteBackendError
 from repro.graphs import complete_graph
 from repro.server import serve_backend
-from repro.server.wire import MAX_BODY, LeanHeaders, body_length, reachable_url
+from repro.server.wire import (
+    MAX_BODY,
+    MAX_HEADERS,
+    LeanHeaders,
+    body_length,
+    reachable_url,
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +215,26 @@ class TestDuplicateHeaders:
 
 
 # ----------------------------------------------------------------------
+# Fix 10: the header cap counts lines, not distinct names
+# ----------------------------------------------------------------------
+class TestHeaderLineCap:
+    def test_repeated_header_lines_answer_431(self, server, connect):
+        server.service.reset_stats()
+        # Pre-fix these 5000 lines were one map entry and answered 200.
+        probe = b"GET /info HTTP/1.1\r\nHost: x\r\n" + b"X-Pad: 1\r\n" * 5000 + b"\r\n"
+        answer = _raw_exchange(connect, probe)
+        assert _status_lines(answer)[0].startswith(b"HTTP/1.1 431")
+        assert b"connection: close" in answer.lower()
+        assert sum(server.service.endpoint_counts.values()) == 0
+
+    def test_header_lines_at_the_cap_are_served(self, connect):
+        pad = b"X-Pad: 1\r\n" * (MAX_HEADERS - 2)
+        probe = b"GET /info HTTP/1.1\r\nHost: x\r\n" + pad + b"Connection: close\r\n\r\n"
+        answer = _raw_exchange(connect, probe)
+        assert _status_lines(answer)[0].startswith(b"HTTP/1.1 200")
+
+
+# ----------------------------------------------------------------------
 # Fix 3: server.url is always client-connectable
 # ----------------------------------------------------------------------
 class TestReachableUrl:
@@ -328,6 +362,19 @@ class TestClientDuplicateContentLength:
         )
         assert response == (200, b"{}")
         assert reusable
+
+
+    @pytest.mark.parametrize("length", [b"-1", b"+2", b" 2 2"])
+    def test_non_digit_length_is_a_wire_error(self, length):
+        # Pre-fix ``-1`` made read(-1) wait out the whole socket timeout on
+        # this held-open socket, and ``+2`` framed a body.
+        with pytest.raises(_WireError, match="Content-Length"):
+            self.exchange(b"HTTP/1.1 200 OK\r\nContent-Length: " + length + b"\r\n\r\n{}")
+
+    def test_response_header_cap_counts_lines(self):
+        pad = b"X-Pad: 1\r\n" * MAX_HEADERS
+        with pytest.raises(_WireError, match="headers"):
+            self.exchange(b"HTTP/1.1 200 OK\r\n" + pad + b"Content-Length: 2\r\n\r\n{}")
 
 
 def _status_lines(answer: bytes):
