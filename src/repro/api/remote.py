@@ -607,8 +607,9 @@ class HTTPGraphBackend(GraphBackend):
         request = _Request(method, path, body)
         if request.registry is not None:
             request.started = time.perf_counter()
-            if path.strip("/"):
-                request.endpoint = "/" + path.lstrip("/").split("/", 1)[0]
+            endpoint = path[len(self._prefix):].lstrip("/")
+            if endpoint:
+                request.endpoint = "/" + endpoint.split("/", 1)[0]
             request.registry.inc("repro_http_requests_total", endpoint=request.endpoint)
         if request.tracer is not None:
             request.span = request.tracer.start_span(

@@ -25,6 +25,7 @@ returned inline by real OSN APIs).
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..api.interface import SocialNetworkAPI
@@ -60,6 +61,14 @@ class HashGrouping(GroupingStrategy):
 
     This is the paper's GNRW-By-MD5 baseline: group membership carries no
     information about the node, so GNRW degenerates to (approximately) CNRW.
+
+    :meth:`group_of` is the definition.  :meth:`partition` gives the same
+    result but looks the groups of non-negative ``int`` ids below
+    :data:`MEMO_CAP` up in one table per ``num_groups`` shared by the whole
+    process, so each such id is hashed once per process, not once per visit
+    of each of its neighbors.  Every other id (``bool``, numpy integers,
+    negative or larger ints, strings, tuples) and every id when
+    ``num_groups`` exceeds 255 is hashed on each call.
     """
 
     def __init__(self, num_groups: int = 3) -> None:
@@ -69,8 +78,67 @@ class HashGrouping(GroupingStrategy):
         self.name = f"md5-{num_groups}"
 
     def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:  # noqa: ARG002
-        digest = hashlib.md5(repr(node).encode("utf-8")).hexdigest()
-        return int(digest, 16) % self.num_groups
+        return _md5_group(node, self.num_groups)
+
+    def partition(self, neighbors: Sequence[NodeId], api: SocialNetworkAPI) -> Dict[GroupKey, List[NodeId]]:
+        num_groups = self.num_groups
+        if num_groups > _MAX_MEMO_GROUPS:
+            return GroupingStrategy.partition(self, neighbors, api)
+        table = _GROUP_TABLES.get(num_groups, b"")
+        size = len(table)
+        # Members by stored value (group + 1), and the values in first-seen order.
+        slots: List[Optional[List[NodeId]]] = [None] * (num_groups + 1)
+        order: List[int] = []
+        for node in neighbors:
+            if type(node) is int and 0 <= node < MEMO_CAP:
+                if node >= size:
+                    table = _grown_table(num_groups, node)
+                    size = len(table)
+                stored = table[node]
+                if not stored:
+                    stored = table[node] = _md5_group(node, num_groups) + 1
+            else:
+                stored = _md5_group(node, num_groups) + 1
+            members = slots[stored]
+            if members is None:
+                slots[stored] = members = []
+                order.append(stored)
+            members.append(node)
+        return {stored - 1: slots[stored] for stored in order}
+
+
+#: :class:`HashGrouping` memoises the groups of ``int`` ids in ``[0, MEMO_CAP)``:
+#: one byte per id, so one table never exceeds 1 MiB.
+MEMO_CAP = 1 << 20
+#: A table entry holds ``group + 1`` in one byte (0 means "not computed yet").
+_MAX_MEMO_GROUPS = 255
+#: First size of a table; it doubles until it covers the largest id seen.
+_FIRST_TABLE_SIZE = 1 << 10
+#: ``num_groups -> table``.  Entries are a pure function of the id, so the
+#: tables are shared by every walker and thread of the process.  Growth
+#: replaces a table with a larger copy: an entry another thread writes into
+#: the old table meanwhile is lost (it is recomputed on the next miss), but
+#: no entry is ever wrong.
+_GROUP_TABLES: Dict[int, bytearray] = {}
+
+
+def _md5_group(node: NodeId, num_groups: int) -> int:
+    digest = hashlib.md5(repr(node).encode("utf-8")).digest()
+    return int.from_bytes(digest, "big") % num_groups
+
+
+def _grown_table(num_groups: int, node: int) -> bytearray:
+    """Return the ``num_groups`` table, grown by doubling to cover ``node``."""
+    table = _GROUP_TABLES.get(num_groups, b"")
+    size = len(table) or _FIRST_TABLE_SIZE
+    while size <= node:
+        size *= 2
+    if size == len(table):
+        return table
+    grown = bytearray(size)
+    grown[:len(table)] = table
+    _GROUP_TABLES[num_groups] = grown
+    return grown
 
 
 class AttributeValueGrouping(GroupingStrategy):
@@ -94,7 +162,8 @@ class NumericBinGrouping(GroupingStrategy):
 
     The paper groups Yelp users by ``reviews_count``; since the attribute is
     numeric, neighbors are binned.  ``bin_width`` controls the stratum width;
-    values below ``minimum`` all land in bin 0.
+    values below ``minimum`` all land in bin 0.  Missing, unparsable and
+    non-finite (NaN, ±inf) values land in ``default_bin``.
     """
 
     def __init__(
@@ -121,6 +190,8 @@ class NumericBinGrouping(GroupingStrategy):
         try:
             value = float(attrs[self.attribute])
         except (TypeError, ValueError):
+            return self.default_bin
+        if not math.isfinite(value):
             return self.default_bin
         return max(0, int((value - self.minimum) // self.bin_width))
 

@@ -148,10 +148,16 @@ class GroupedEdgeHistory:
         eligible again.  If *no* group has remaining members the neighborhood
         is exhausted and every group is eligible with its full member list
         (the node memory is about to reset).  The returned mapping gives, per
-        eligible group, the members that may be chosen.
+        eligible group, the members that may be chosen; the caller must not
+        mutate it (on a fresh edge it is ``partition`` itself).  Every group
+        of ``partition`` is non-empty, as every grouping strategy builds it.
         """
         key = (source, current)
-        attempted_nodes = self._nodes_attempted.get(key, set())
+        attempted_nodes = self._nodes_attempted.get(key)
+        if not attempted_nodes:
+            # Fresh edge: S(u, v) only gains a group together with a node of
+            # b(u, v), so it is empty too and every group is eligible whole.
+            return list(partition), partition
         attempted_groups = self._groups_attempted.get(key, set())
 
         remaining = {
@@ -199,7 +205,7 @@ class GroupedEdgeHistory:
         # Full-neighborhood reset: needs every member of every group in
         # b(u, v); a cheap size guard (partitions are disjoint, so member
         # counts add up) avoids building the union set on the common path.
-        total_members = sum(len(members) for members in partition.values())
+        total_members = sum(map(len, partition.values()))
         if total_members and len(nodes) >= total_members:
             all_nodes = {node for members in partition.values() for node in members}
             if all_nodes.issubset(nodes):

@@ -2,19 +2,56 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.api import GraphAPI
 from repro.exceptions import InvalidConfigurationError
+from repro.walks import grouping as grouping_module
 from repro.walks import make_grouping
 from repro.walks.grouping import (
+    MEMO_CAP,
     AttributeValueGrouping,
     CallableGrouping,
     DegreeGrouping,
     ExplicitGrouping,
+    GroupingStrategy,
     HashGrouping,
     NumericBinGrouping,
 )
+
+#: Ids of every kind the MD5 table must memoise or bypass: ints on both sides
+#: of a growth step and of the cap, negative and huge ints, bools (equal to
+#: 0/1 but hashed as ``True``/``False``), numpy ints, strings and tuples.
+MIXED_IDS = (
+    0, 5, 1023, 1024, 70_000, MEMO_CAP - 1, MEMO_CAP, MEMO_CAP + 12_345, 2 ** 70,
+    -1, -70_000, True, False, np.int64(5), np.int64(MEMO_CAP + 1),
+    "5", "node-a", (1, 2), ("a", 3),
+)
+
+
+def reference_partition(grouping, neighbors):
+    """The per-node ``group_of`` path every strategy inherits."""
+    return GroupingStrategy.partition(grouping, neighbors, None)
+
+
+def assert_same_partition(got, want):
+    assert got == want
+    assert list(got) == list(want)  # groups in first-seen order
+    for group in want:
+        assert list(got[group]) == list(want[group])  # members in neighbor order
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Give the process an empty MD5 group table for one test."""
+    tables = {}
+    monkeypatch.setattr(grouping_module, "_GROUP_TABLES", tables)
+    return tables
 
 
 class TestHashGrouping:
@@ -37,6 +74,84 @@ class TestHashGrouping:
         partition = grouping.partition(neighbors, api)
         flattened = [node for members in partition.values() for node in members]
         assert sorted(flattened, key=repr) == sorted(neighbors, key=repr)
+
+
+class TestHashGroupingTable:
+    """``HashGrouping.partition`` (process-wide table) against ``group_of``."""
+
+    @pytest.mark.parametrize("num_groups", [1, 3, 7, 300])
+    def test_partition_matches_group_of(self, fresh_tables, num_groups):
+        grouping = HashGrouping(num_groups)
+        rng = np.random.default_rng(num_groups)
+        cases = [(), MIXED_IDS, MIXED_IDS[::-1], tuple(range(40)),
+                 (5, True, np.int64(5), "5", 1, False, 0)]
+        for _ in range(20):
+            shuffled = tuple(MIXED_IDS[i] for i in rng.permutation(len(MIXED_IDS)))
+            drawn = tuple(rng.integers(0, 2 * MEMO_CAP, size=30).tolist())
+            cases += [shuffled, drawn, shuffled[:7] + drawn + shuffled[7:]]
+        for neighbors in cases + cases:  # the second pass reads the table
+            assert_same_partition(grouping.partition(neighbors, None),
+                                  reference_partition(grouping, neighbors))
+
+    @pytest.mark.parametrize("num_groups", [1, 3, 7, 300])
+    def test_group_of_is_the_md5_of_the_repr(self, num_groups):
+        grouping = HashGrouping(num_groups)
+        for node in MIXED_IDS:
+            digest = hashlib.md5(repr(node).encode("utf-8")).hexdigest()
+            assert grouping.group_of(node, None) == int(digest, 16) % num_groups
+
+    def test_only_small_non_negative_ints_are_stored(self, fresh_tables):
+        grouping = HashGrouping(3)
+        grouping.partition(MIXED_IDS, None)
+        table = fresh_tables[3]
+        assert len(table) == MEMO_CAP
+        stored = {node: table[node] for node in range(len(table)) if table[node]}
+        memoisable = (0, 5, 1023, 1024, 70_000, MEMO_CAP - 1)
+        assert stored == {node: grouping.group_of(node, None) + 1 for node in memoisable}
+        HashGrouping(300).partition(MIXED_IDS, None)
+        assert set(fresh_tables) == {3}
+
+    def test_table_grows_by_doubling_up_to_the_cap(self, fresh_tables):
+        grouping = HashGrouping(3)
+        sizes = []
+        for node in (0, 1023, 1024, 5000, MEMO_CAP - 1, MEMO_CAP, 2 * MEMO_CAP):
+            grouping.partition((node,), None)
+            sizes.append(len(fresh_tables[3]))
+        assert sizes == [1024, 1024, 2048, 8192, MEMO_CAP, MEMO_CAP, MEMO_CAP]
+
+    def test_threads_growing_one_table_match_the_reference(self, fresh_tables):
+        grouping = HashGrouping(7)
+        span, width, threads = 1 << 16, 24, 8
+        # Overlapping, ascending id ranges: every thread grows the table.
+        batches = []
+        for index in range(threads):
+            ids = list(range(index * 2048, span, 7 + index))
+            batches.append([tuple(ids[i:i + width]) for i in range(0, len(ids), width)])
+        expected = [[reference_partition(grouping, n) for n in batch] for batch in batches]
+        results = [None] * threads
+
+        def work(index):
+            results[index] = [grouping.partition(n, None) for n in batches[index]]
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for got, want in zip(results, expected):
+            assert len(got) == len(want)
+            for one, other in zip(got, want):
+                assert_same_partition(one, other)
+        table = fresh_tables[7]
+        assert len(table) == span
+        assert all(stored == 0 or stored == grouping.group_of(node, None) + 1
+                   for node, stored in enumerate(table))
 
 
 class TestAttributeValueGrouping:
@@ -79,6 +194,16 @@ class TestNumericBinGrouping:
     def test_invalid_bin_width(self):
         with pytest.raises(InvalidConfigurationError):
             NumericBinGrouping("age", bin_width=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "nan", "-inf"])
+    def test_non_finite_attribute_goes_to_default_bin(self, value):
+        class MetadataAPI:
+            def peek_metadata(self, node):
+                return {"degree": 1, "attributes": {"score": value}}
+
+        grouping = NumericBinGrouping("score", default_bin=-7)
+        assert grouping.group_of(0, MetadataAPI()) == -7
+        assert grouping.partition([0, 1], MetadataAPI()) == {-7: [0, 1]}
 
 
 class TestDegreeGrouping:

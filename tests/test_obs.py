@@ -41,7 +41,7 @@ from repro.obs import (
     parse_trace_header,
     render_trace_tree,
 )
-from repro.server import GraphService
+from repro.server import GraphRequestHandler, GraphService
 
 from fakes import FlakyBackend, FlakyHTTPHandler
 
@@ -311,6 +311,31 @@ class TestRetryTracing:
                 client.fetch(node)
         assert registry.value("repro_http_retries_total", endpoint="/node") == 1
         assert registry.value("repro_http_requests_total", endpoint="/node") == 1
+
+
+class PrefixedHTTPHandler(GraphRequestHandler):
+    """Serve the graph under ``/graphs/fb``, as behind a path-routing proxy."""
+
+    PREFIX = "/graphs/fb"
+
+    def inject_fault(self) -> bool:
+        self.path = self.path.removeprefix(self.PREFIX)
+        return False
+
+
+class TestPrefixedClientMetrics:
+    def test_endpoint_label_is_the_path_after_the_prefix(self, obs_backend, graph_server):
+        server = graph_server(obs_backend, handler_class=PrefixedHTTPHandler)
+        nodes = obs_backend.node_ids()[:3]
+        with obs.telemetry() as registry:
+            with HTTPGraphBackend(server.url + PrefixedHTTPHandler.PREFIX) as client:
+                assert client.fetch(nodes[0]) == obs_backend.fetch(nodes[0])
+                assert client.fetch_many(nodes) == obs_backend.fetch_many(nodes)
+                assert list(client.node_ids()) == list(obs_backend.node_ids())
+        for endpoint in ("/node", "/nodes", "/node-ids"):
+            assert registry.value("repro_http_requests_total", endpoint=endpoint) == 1
+            assert registry.histogram("repro_http_request_ms", endpoint=endpoint)["count"] == 1
+        assert registry.value("repro_http_requests_total", endpoint="/graphs") == 0
 
 
 # ----------------------------------------------------------------------
