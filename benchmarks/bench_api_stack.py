@@ -12,6 +12,12 @@ justify the split:
    :class:`~repro.api.backend.CSRBackend` driven through batched
    ``query_many`` calls, on a >= 100k-node synthetic graph.
 
+3. *What does one billed fetch cost?*  Absolute microseconds on the scalar
+   miss path for the in-memory, CSR and memory-mapped backends: a bare
+   ``backend.fetch`` and a fresh ``query`` through
+   ``build_api(backend, budget=...)`` (cache, budget and core layers), each
+   recorded with ``--json``.
+
 ``test_csr_batched_beats_legacy_single_query`` asserts the speedup directly,
 so the claim is CI-checkable rather than anecdotal.  Set
 ``REPRO_BENCH_SCALE`` < 1 (e.g. 0.1) for a quick smoke run.
@@ -24,10 +30,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import CSRBackend, GraphAPI, build_api
+from repro.api import CSRBackend, GraphAPI, InMemoryBackend, build_api
 from repro.graphs import Graph
+from repro.storage import load_snapshot, save_snapshot
 
-from conftest import bench_scale
+from conftest import bench_scale, record_bench_result
 
 #: Graph size: 100k nodes at the default scale (the acceptance target).
 NUM_NODES = max(10_000, int(100_000 * bench_scale()))
@@ -35,6 +42,9 @@ OUT_DEGREE = 8
 BATCH_SIZE = 1024
 #: How many distinct nodes each fresh-query sweep touches.
 SWEEP_NODES = NUM_NODES // 2
+#: Fresh nodes per timed miss-path pass, and passes (the fastest counts).
+MISS_NODES = 2000
+MISS_REPEATS = 25
 
 
 def _synthetic_edges(num_nodes: int, out_degree: int, seed: int = 0) -> np.ndarray:
@@ -158,4 +168,61 @@ def test_csr_batched_beats_legacy_single_query(big_graph, csr_backend, sweep):
     assert batched_seconds < legacy_seconds, (
         f"expected the batched CSR path to beat the legacy single-query path "
         f"(legacy {legacy_seconds:.3f}s vs batched {batched_seconds:.3f}s)"
+    )
+
+
+@pytest.fixture(scope="module")
+def miss_backends(big_graph, csr_backend, tmp_path_factory):
+    snapshot = save_snapshot(csr_backend, tmp_path_factory.mktemp("miss-path") / "snap")
+    return {
+        "memory": InMemoryBackend(big_graph),
+        "csr": csr_backend,
+        "mmap": load_snapshot(snapshot),
+    }
+
+
+@pytest.mark.parametrize("kind", ["memory", "csr", "mmap"])
+def test_scalar_miss_path_us(miss_backends, sweep, kind):
+    """Microseconds per billed fetch: bare ``fetch`` and a fresh stacked ``query``.
+
+    Every pass visits the same distinct nodes, the stacked pass on a new
+    stack, so each query misses the cache and bills one unique query.  The
+    two contenders alternate pass by pass and the fastest pass of each
+    counts.  The difference is the middleware's share of a miss.
+    """
+    backend = miss_backends[kind]
+    nodes = sweep[:MISS_NODES]
+
+    def bare():
+        fetch = backend.fetch
+        started = time.perf_counter()
+        for node in nodes:
+            fetch(node)
+        return time.perf_counter() - started
+
+    def stacked():
+        api = build_api(backend, budget=len(nodes))
+        query = api.query
+        started = time.perf_counter()
+        for node in nodes:
+            query(node)
+        elapsed = time.perf_counter() - started
+        assert api.unique_queries == len(nodes)
+        return elapsed
+
+    bare_s = stacked_s = float("inf")
+    for _ in range(MISS_REPEATS):
+        bare_s = min(bare_s, bare())
+        stacked_s = min(stacked_s, stacked())
+    fetch_us = bare_s * 1e6 / len(nodes)
+    query_us = stacked_s * 1e6 / len(nodes)
+    print(f"\n{kind}: fetch {fetch_us:.2f} us, fresh query {query_us:.2f} us "
+          f"(middleware {query_us - fetch_us:.2f} us)")
+    record_bench_result(
+        f"api_stack.miss_path_us.{kind}",
+        nodes=NUM_NODES,
+        fresh_nodes=len(nodes),
+        fetch_us=fetch_us,
+        query_us=query_us,
+        middleware_us=query_us - fetch_us,
     )

@@ -6,7 +6,9 @@ This module separates the two concerns: a :class:`GraphBackend` is a raw
 record store with exactly two operations, :meth:`~GraphBackend.fetch` and
 :meth:`~GraphBackend.fetch_many`, while every policy (caching, budgets, rate
 limits, shuffling, tracing) lives in the middleware stack of
-:mod:`repro.api.middleware`.
+:mod:`repro.api.middleware`.  A fetch answers with a :data:`RawRecord`, the
+same immutable class as the :class:`~repro.api.interface.NodeView` a query
+returns, so the record a backend builds travels up to the walker as it is.
 
 Two backends ship with the library:
 
@@ -19,35 +21,20 @@ Two backends ship with the library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import NodeNotFoundError
 from ..graphs.graph import Graph
-from ..types import Edge, NodeId
-
-_EMPTY_ATTRS: Dict[str, Any] = {}
+from ..types import Edge, NodeId, NodeRecord
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """The raw answer of one backend fetch: neighbors plus attributes.
-
-    This is the storage-level twin of :class:`~repro.api.interface.NodeView`;
-    the middleware core converts records into views so backends never need to
-    know about the query-accounting types.
-    """
-
-    node: NodeId
-    neighbors: Tuple[NodeId, ...]
-    attributes: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
+#: The answer of one backend fetch.  It is the same class as
+#: :class:`~repro.api.interface.NodeView`: the middleware hands a backend's
+#: records up to the walker unchanged, so a billed fetch builds one record.
+RawRecord = NodeRecord
 
 
 class GraphBackend:
@@ -63,7 +50,11 @@ class GraphBackend:
 
     def fetch(self, node: NodeId) -> RawRecord:
         """Return the :class:`RawRecord` of ``node`` or raise
-        :class:`~repro.exceptions.NodeNotFoundError`."""
+        :class:`~repro.exceptions.NodeNotFoundError`.
+
+        The record's ``attributes`` dict must be one the backend does not
+        keep: callers own it and may mutate it.
+        """
         raise NotImplementedError
 
     def fetch_many(self, nodes: Sequence[NodeId]) -> List[RawRecord]:
@@ -133,13 +124,11 @@ class InMemoryBackend(GraphBackend):
         return self._graph
 
     def fetch(self, node: NodeId) -> RawRecord:
-        if not self._graph.has_node(node):
+        graph = self._graph
+        if not graph.has_node(node):
             raise NodeNotFoundError(node)
-        return RawRecord(
-            node=node,
-            neighbors=tuple(self._graph.neighbors(node)),
-            attributes=self._graph.attributes(node),
-        )
+        # Graph.attributes returns a copy, so the record owns its dict.
+        return RawRecord(node, tuple(graph.neighbors(node)), graph.attributes(node))
 
     def contains(self, node: NodeId) -> bool:
         return self._graph.has_node(node)
@@ -202,6 +191,25 @@ class CSRBackend(GraphBackend):
         self._attributes = dict(attributes) if attributes else {}
         self.name = name
         self._simple_rows: Optional[bool] = None
+        self._bind_rows()
+
+    def _bind_rows(self) -> None:
+        # The scalar read paths index these memoryviews instead of the numpy
+        # arrays: a memoryview yields Python ints, a numpy array numpy
+        # scalars, which cost more to build and to slice with.  They are not
+        # picklable, so pickling drops them and unpickling binds them again.
+        self._ptr = memoryview(self._indptr)
+        self._col = memoryview(self._indices)
+        self._n = len(self._ptr) - 1
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_ptr"], state["_col"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._bind_rows()
 
     # ------------------------------------------------------------------
     # Construction
@@ -279,67 +287,61 @@ class CSRBackend(GraphBackend):
     # ------------------------------------------------------------------
     # GraphBackend interface
     # ------------------------------------------------------------------
-    def _index_of(self, node: NodeId) -> int:
+    def _position(self, node: NodeId) -> Optional[int]:
+        """The CSR index of ``node``, or ``None`` when the store lacks it."""
         if self._identity:
-            if isinstance(node, (int, np.integer)) and 0 <= node < self._indptr.size - 1:
+            if isinstance(node, (int, np.integer)) and 0 <= node < self._n:
                 return int(node)
+            return None
+        return self._index.get(node)
+
+    def _index_of(self, node: NodeId) -> int:
+        i = self._position(node)
+        if i is None:
             raise NodeNotFoundError(node)
-        try:
-            return self._index[node]
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        return i
 
     def fetch(self, node: NodeId) -> RawRecord:
-        i = self._index_of(node)
-        row = self._indices[self._indptr[i]:self._indptr[i + 1]]
-        if self._identity:
-            neighbors = tuple(row.tolist())
-        else:
+        i = self._position(node)
+        if i is None:
+            raise NodeNotFoundError(node)
+        ptr = self._ptr
+        row = self._col[ptr[i]:ptr[i + 1]].tolist()
+        if not self._identity:
             ids = self._ids
-            neighbors = tuple(ids[j] for j in row.tolist())
+            row = [ids[j] for j in row]
         attributes = self._attributes.get(node)
-        return RawRecord(
-            node=node,
-            neighbors=neighbors,
-            attributes=dict(attributes) if attributes else {},
-        )
+        return RawRecord(node, tuple(row), dict(attributes) if attributes else {})
 
     def fetch_many(self, nodes: Sequence[NodeId]) -> List[RawRecord]:
-        indptr = self._indptr
-        indices = self._indices
-        attributes = self._attributes
+        if not (self._identity and not self._attributes):
+            return [self.fetch(node) for node in nodes]
+        # Hot path: one type/bounds check + one slice per node, no dict
+        # work.  The type check mirrors _position so a float or string id
+        # raises NodeNotFoundError exactly like fetch() would.
+        ptr = self._ptr
+        col = self._col
+        n = self._n
         records: List[RawRecord] = []
-        if self._identity and not attributes:
-            # Hot path: one type/bounds check + one slice per node, no dict
-            # work.  The type check mirrors _index_of so a float or string id
-            # raises NodeNotFoundError exactly like fetch() would.
-            n = indptr.size - 1
-            for node in nodes:
-                if not (isinstance(node, (int, np.integer)) and 0 <= node < n):
-                    raise NodeNotFoundError(node)
-                i = int(node)
-                records.append(
-                    RawRecord(
-                        node=node,
-                        neighbors=tuple(indices[indptr[i]:indptr[i + 1]].tolist()),
-                        attributes={},
-                    )
-                )
-            return records
-        return [self.fetch(node) for node in nodes]
+        for node in nodes:
+            if not (isinstance(node, (int, np.integer)) and 0 <= node < n):
+                raise NodeNotFoundError(node)
+            i = int(node)
+            records.append(RawRecord(node, tuple(col[ptr[i]:ptr[i + 1]].tolist()), {}))
+        return records
 
     def contains(self, node: NodeId) -> bool:
-        if self._identity:
-            return isinstance(node, (int, np.integer)) and 0 <= node < self._indptr.size - 1
-        return node in self._index
+        return self._position(node) is not None
 
     def metadata(self, node: NodeId) -> Optional[Dict[str, Any]]:
-        if not self.contains(node):
+        i = self._position(node)
+        if i is None:
             return None
-        i = self._index_of(node)
+        ptr = self._ptr
+        attributes = self._attributes.get(node)
         return {
-            "degree": int(self._indptr[i + 1] - self._indptr[i]),
-            "attributes": dict(self._attributes.get(node, _EMPTY_ATTRS)),
+            "degree": ptr[i + 1] - ptr[i],
+            "attributes": dict(attributes) if attributes else {},
         }
 
     def node_ids(self) -> List[NodeId]:
@@ -351,7 +353,7 @@ class CSRBackend(GraphBackend):
         if self._ids is None:
             # Identity ids: node_ids() is range(n), so index i IS the id —
             # draw it directly instead of materialising an n-element list.
-            return int(rng.integers(0, self._indptr.size - 1))
+            return int(rng.integers(0, self._n))
         return self._ids[int(rng.integers(0, len(self._ids)))]
 
     @property

@@ -64,8 +64,10 @@ def build_api(
         backend: Optional backend kind for graph sources: ``"memory"`` (the
             default) or ``"csr"`` to compile the graph into the array-based
             :class:`~repro.api.backend.CSRBackend`.
-        budget: Unique-query budget — a :class:`QueryBudget`, a plain int
-            limit, or ``None`` for no budget layer.
+        budget: Unique-query budget — a :class:`QueryBudget`, an integer
+            limit (any :class:`numbers.Integral`, numpy integers included,
+            but not ``bool``), or ``None`` for no budget layer.  Anything
+            else raises :class:`~repro.exceptions.InvalidConfigurationError`.
         rate_limit: Optional rate-limit policy (adds a rate-limit layer).
         clock: Simulated clock for the rate limiter (fresh one when omitted).
         cache: Whether to include the local cache layer.  ``True`` is the

@@ -10,35 +10,30 @@ against the :class:`SocialNetworkAPI` interface here, so it genuinely cannot
 The concrete machinery lives in three sibling modules: raw storage backends
 in :mod:`repro.api.backend`, policy middleware (cache, budget, rate limit,
 shuffle, trace) in :mod:`repro.api.middleware`, and the stack assembler
-:func:`repro.api.builder.build_api`.  :class:`GraphAPI` here is the legacy
-entry point, preserved as a thin shim that builds the canonical stack over an
-in-memory graph with its original constructor signature.
+:func:`repro.api.builder.build_api`.  A query answers with a
+:data:`NodeView`, which is the backend's :data:`~repro.api.backend.RawRecord`
+itself: one class, :class:`~repro.types.NodeRecord`, built once per billed
+fetch.  :class:`GraphAPI` here is the legacy entry point, preserved as a thin
+shim that builds the canonical stack over an in-memory graph with its
+original constructor signature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..graphs.graph import Graph
 from ..rng import SeedLike, make_rng
-from ..types import NodeId
+from ..types import NodeId, NodeRecord
 from .budget import QueryBudget
 from .cache import QueryCache
 from .ratelimit import RateLimitPolicy, SimulatedClock, UnlimitedPolicy
 
 
-@dataclass(frozen=True)
-class NodeView:
-    """The response of one neighborhood query: neighbors plus attributes."""
-
-    node: NodeId
-    neighbors: Tuple[NodeId, ...]
-    attributes: Dict[str, Any]
-
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
+#: The response of one neighborhood query: neighbors plus attributes.  It is
+#: the same class as :class:`~repro.api.backend.RawRecord`: the record a
+#: backend fetch builds is the view the query returns.
+NodeView = NodeRecord
 
 
 class SocialNetworkAPI:

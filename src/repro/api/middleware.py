@@ -15,19 +15,23 @@ Layers nest in the decorator style and are assembled by
 
 Each layer forwards both the single-node :meth:`query` and the batched
 :meth:`query_many`, so multi-walker ensembles can amortise the per-query
-overhead all the way down to ``backend.fetch_many``.  Attribute access not
-handled by a layer is delegated to the wrapped API, which keeps the stack a
-drop-in replacement for the legacy monolithic ``GraphAPI``.
+overhead all the way down to ``backend.fetch_many``.  The records a backend
+returns are the views every layer passes up, unconverted and uncopied; only
+the shuffle layer builds a new one, with the neighbors re-ordered.
+Attribute access not handled by a layer is delegated to the wrapped API,
+which keeps the stack a drop-in replacement for the legacy monolithic
+``GraphAPI``.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .. import obs
-from ..exceptions import NodeNotFoundError, QueryBudgetExceededError
+from ..exceptions import InvalidConfigurationError, NodeNotFoundError, QueryBudgetExceededError
 from ..rng import SeedLike, make_rng
 from ..types import NodeId
 from .backend import GraphBackend
@@ -58,7 +62,11 @@ class BackendAPI(SocialNetworkAPI):
     """The innermost layer: adapt a :class:`GraphBackend` to the query model.
 
     Every call that reaches this layer is a *billable* fetch; the cache layer
-    above is what makes duplicates free.  Unknown attribute lookups fall
+    above is what makes duplicates free.  A backend's
+    :class:`~repro.api.backend.RawRecord` already is the
+    :class:`~repro.api.interface.NodeView` a query returns (one class, two
+    names), and its attribute dict is not one the backend keeps, so records
+    are returned as they are, with no copy.  Unknown attribute lookups fall
     through to the backend (e.g. ``api.graph`` for :class:`InMemoryBackend`).
     """
 
@@ -77,12 +85,11 @@ class BackendAPI(SocialNetworkAPI):
         return self._backend
 
     def query(self, node: NodeId) -> NodeView:
-        self.stats.total += 1
+        stats = self.stats
+        stats.total += 1
         record = self._backend.fetch(node)
-        self.stats.unique += 1
-        return NodeView(
-            node=record.node, neighbors=record.neighbors, attributes=dict(record.attributes)
-        )
+        stats.unique += 1
+        return record
 
     def query_many(self, nodes: Sequence[NodeId]) -> List[NodeView]:
         nodes = list(nodes)
@@ -96,10 +103,7 @@ class BackendAPI(SocialNetworkAPI):
             raise
         self.stats.total += len(nodes)
         self.stats.unique += len(records)
-        return [
-            NodeView(node=r.node, neighbors=r.neighbors, attributes=dict(r.attributes))
-            for r in records
-        ]
+        return records
 
     @property
     def unique_queries(self) -> int:
@@ -330,23 +334,23 @@ class BudgetLayer(APILayer):
 
     The budget is checked *before* the fetch (so an exhausted budget raises
     without touching the backend) and committed *after* it (so a missing node
-    costs nothing, matching the legacy ``GraphAPI`` accounting).
+    costs nothing, matching the legacy ``GraphAPI`` accounting).  ``budget``
+    is a :class:`QueryBudget`, an integer limit or ``None`` (unlimited).
     """
 
     layer_name = "budget"
 
-    def __init__(self, inner: SocialNetworkAPI, budget: Optional[QueryBudget] = None) -> None:
+    def __init__(
+        self, inner: SocialNetworkAPI, budget: Union[QueryBudget, int, None] = None
+    ) -> None:
         super().__init__(inner)
-        if budget is None:
-            budget = QueryBudget(None)
-        elif isinstance(budget, int):
-            budget = QueryBudget(budget)
-        self.budget = budget
+        self.budget = _as_query_budget(budget)
         self._stats: Optional[QueryStats] = getattr(inner, "stats", None)
 
     def query(self, node: NodeId) -> NodeView:
         budget = self.budget
-        if not budget.can_spend(1):
+        limit = budget.limit
+        if limit is not None and budget.spent >= limit:
             # A rejected attempt still counts as a call (the historic GraphAPI
             # incremented total_queries before the budget raised).
             if self._stats is not None:
@@ -354,9 +358,11 @@ class BudgetLayer(APILayer):
             registry = obs.metrics()
             if registry is not None:
                 registry.inc("repro_budget_denied_total")
-            raise QueryBudgetExceededError(budget.limit, spent=budget.spent)
+            raise QueryBudgetExceededError(limit, spent=budget.spent)
         view = self._inner.query(node)
-        budget.spend(1)
+        # Checked above, so charge directly rather than through spend(),
+        # which would check the limit a second time.
+        budget.spent += 1
         return view
 
     def query_many(self, nodes: Sequence[NodeId]) -> List[NodeView]:
@@ -364,7 +370,7 @@ class BudgetLayer(APILayer):
         budget = self.budget
         if budget.can_spend(len(order)):
             views = self._inner.query_many(order)
-            budget.spend(len(views))
+            budget.spent += len(views)
             return views
         # The batch exceeds the remaining budget: degrade to sequential
         # billing so the remaining budget is still spent (never forfeited)
@@ -384,6 +390,25 @@ class BudgetLayer(APILayer):
     def reset_counters(self) -> None:
         self.budget.reset()
         self._inner.reset_counters()
+
+
+def _as_query_budget(budget) -> QueryBudget:
+    """Resolve a budget argument: a :class:`QueryBudget`, an integer limit or ``None``.
+
+    Any :class:`numbers.Integral` other than ``bool`` is a limit (numpy
+    integers included).  ``bool``, ``float`` and everything else is refused
+    here, when the stack is built, instead of failing at the first query.
+    """
+    if budget is None:
+        return QueryBudget(None)
+    if isinstance(budget, QueryBudget):
+        return budget
+    if isinstance(budget, numbers.Integral) and not isinstance(budget, bool):
+        return QueryBudget(int(budget))
+    raise InvalidConfigurationError(
+        f"budget must be a QueryBudget, an integer limit or None, "
+        f"not {type(budget).__name__} {budget!r}"
+    )
 
 
 class RateLimitLayer(APILayer):
@@ -439,7 +464,7 @@ class ShuffleLayer(APILayer):
     def _shuffled(self, view: NodeView) -> NodeView:
         neighbors = list(view.neighbors)
         self._rng.shuffle(neighbors)
-        return replace(view, neighbors=tuple(neighbors))
+        return NodeView(view.node, tuple(neighbors), view.attributes)
 
     def query(self, node: NodeId) -> NodeView:
         return self._shuffled(self._inner.query(node))

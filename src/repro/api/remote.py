@@ -93,9 +93,7 @@ def record_from_wire(payload: Any) -> RawRecord:
     """Decode a crawl-record JSON object back into a :class:`RawRecord`."""
     try:
         return RawRecord(
-            node=payload["node"],
-            neighbors=tuple(payload["neighbors"]),
-            attributes=dict(payload.get("attributes", {})),
+            payload["node"], tuple(payload["neighbors"]), dict(payload.get("attributes", ()))
         )
     except (KeyError, TypeError) as exc:
         raise RemoteBackendError(

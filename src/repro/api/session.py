@@ -104,7 +104,12 @@ class SamplingSession:
         return self._invalidate()
 
     def budget(self, limit: Union[QueryBudget, int, None]) -> "SamplingSession":
-        """Cap the number of unique (billable) queries."""
+        """Cap the number of unique (billable) queries.
+
+        ``limit`` is a :class:`QueryBudget`, an integer (numpy integers
+        included, ``bool`` refused) or ``None``; it is checked when the
+        stack is built.
+        """
         self._budget = limit
         return self._invalidate()
 

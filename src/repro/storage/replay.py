@@ -85,11 +85,8 @@ class ReplayBackend(GraphBackend):
             record = self._records[node]
         except KeyError:
             raise ReplayMissError(node, source=self.source) from None
-        return RawRecord(
-            node=record.node,
-            neighbors=record.neighbors,
-            attributes=dict(record.attributes),
-        )
+        # A copy of the attributes: the recorded dict stays the replay's own.
+        return RawRecord(record.node, record.neighbors, dict(record.attributes))
 
     def contains(self, node: NodeId) -> bool:
         return node in self._records

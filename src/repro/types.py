@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 #: A node identifier.  Anything hashable works; the loaders produce ``int``.
 NodeId = Hashable
@@ -65,6 +66,39 @@ class Sample:
             return float(raw)
         except (TypeError, ValueError):
             return default
+
+
+_tuple_new = tuple.__new__
+
+
+class NodeRecord(namedtuple("NodeRecord", ("node", "neighbors", "attributes"))):
+    """The answer to one neighborhood query: a node, its neighbors, its attributes.
+
+    A backend's ``fetch`` builds it and every middleware layer passes it up
+    unchanged, so a billed fetch builds one record.  It is exported as
+    :data:`~repro.api.backend.RawRecord` (a backend's answer) and
+    :data:`~repro.api.interface.NodeView` (a query's answer).
+
+    Records compare by value, pickle, and refuse field assignment.  A tuple
+    subclass costs about half a frozen dataclass to build, and hot sites
+    build it positionally.  ``attributes`` defaults to a fresh empty dict,
+    and belongs to whoever received the record: backends never hand out a
+    dict they keep.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        node: NodeId,
+        neighbors: Tuple[NodeId, ...],
+        attributes: Optional[Dict[str, Any]] = None,
+    ) -> "NodeRecord":
+        return _tuple_new(cls, (node, neighbors, {} if attributes is None else attributes))
+
+    @property
+    def degree(self) -> int:
+        return len(self[1])
 
 
 #: One collected sample as the walk drivers record it: the fields of

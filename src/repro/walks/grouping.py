@@ -29,6 +29,7 @@ import math
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..api.interface import SocialNetworkAPI
+from ..api.middleware import APILayer, BackendAPI
 from ..exceptions import InvalidConfigurationError
 from ..types import NodeId
 
@@ -212,7 +213,18 @@ class DegreeGrouping(GroupingStrategy):
         self.name = "degree-log" if logarithmic else f"degree-{bin_width}"
 
     def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:
-        degree = _known_degree(node, api, prefetch=self.prefetch)
+        return self._bin(_degree_reader(api, self.prefetch)(node))
+
+    def partition(self, neighbors: Sequence[NodeId], api: SocialNetworkAPI) -> Dict[GroupKey, List[NodeId]]:
+        # The same groups as GroupingStrategy.partition, with the degree
+        # reader resolved once per neighborhood instead of once per neighbor.
+        degree_of = _degree_reader(api, self.prefetch)
+        groups: Dict[GroupKey, List[NodeId]] = {}
+        for node in neighbors:
+            groups.setdefault(self._bin(degree_of(node)), []).append(node)
+        return groups
+
+    def _bin(self, degree: Optional[int]) -> GroupKey:
         if degree is None:
             return -1
         if self.logarithmic:
@@ -265,20 +277,46 @@ def _known_attributes(node: NodeId, api: SocialNetworkAPI, prefetch: bool) -> Op
     return None
 
 
-def _known_degree(node: NodeId, api: SocialNetworkAPI, prefetch: bool) -> Optional[int]:
+def _metadata_reader(api: SocialNetworkAPI) -> Optional[Callable[[NodeId], Optional[dict]]]:
+    """The callable that answers ``api.peek_metadata`` (``None`` if it has none), found once.
+
+    Middleware layers that do not override ``peek_metadata`` only forward
+    it, so the reader is looked up past them, down to the backend's
+    ``metadata`` when the core :class:`~repro.api.middleware.BackendAPI`
+    is reached: one call per neighbor instead of one per layer.
+    """
+    while isinstance(api, APILayer) and type(api).peek_metadata is APILayer.peek_metadata:
+        api = api.inner
+    if isinstance(api, BackendAPI) and type(api).peek_metadata is BackendAPI.peek_metadata:
+        return api.backend.metadata
     peek = getattr(api, "peek_metadata", None)
-    if callable(peek):
-        metadata = peek(node)
-        if metadata is not None:
-            return int(metadata.get("degree", 0))
+    return peek if callable(peek) else None
+
+
+def _degree_reader(api: SocialNetworkAPI, prefetch: bool) -> Callable[[NodeId], Optional[int]]:
+    """Return ``node -> degree`` as :class:`DegreeGrouping` resolves it.
+
+    Resolution order, as for attributes: the free inline metadata, then the
+    local query cache, then — if ``prefetch`` is true — a billed query;
+    ``None`` when none of them knows the node.
+    """
+    peek = _metadata_reader(api)
     cache = getattr(api, "cache", None)
-    if cache is not None:
-        view = cache.peek(node)
-        if view is not None:
-            return view.degree
-    if prefetch:
-        return api.query(node).degree
-    return None
+
+    def degree_of(node: NodeId) -> Optional[int]:
+        if peek is not None:
+            metadata = peek(node)
+            if metadata is not None:
+                return int(metadata.get("degree", 0))
+        if cache is not None:
+            view = cache.peek(node)
+            if view is not None:
+                return view.degree
+        if prefetch:
+            return api.query(node).degree
+        return None
+
+    return degree_of
 
 
 _STRATEGY_BUILDERS: Dict[str, Callable[..., GroupingStrategy]] = {

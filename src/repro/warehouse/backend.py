@@ -23,7 +23,7 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.backend import GraphBackend, RawRecord
 from ..exceptions import NodeNotFoundError, WarehouseError
@@ -60,13 +60,14 @@ class WarehouseBackend(GraphBackend):
             raise WarehouseError(f"no crawl warehouse at {self.path}")
         if not is_warehouse_file(self.path):
             raise WarehouseError(f"{self.path} is not an SQLite database file")
-        # Decoded-record cache, shared by every thread.  Sound because the
-        # store is append-only: a ``nodes`` row never changes once written
-        # (ingest only inserts new rows and promotes ``metadata`` rows), so
-        # a decoded record stays correct for the lifetime of the file.
+        # Decoded-row cache, ``key -> (neighbors, attributes)``, shared by
+        # every thread.  Sound because the store is append-only: a ``nodes``
+        # row never changes once written (ingest only inserts new rows and
+        # promotes ``metadata`` rows), so a decoded row stays correct for the
+        # lifetime of the file.
         # Misses are never cached (the node may arrive with a later crawl)
         # and neither are ``metadata`` answers (promotion moves them).
-        self._record_cache: Dict[str, RawRecord] = {}
+        self._record_cache: Dict[str, Tuple[tuple, Dict[str, Any]]] = {}
         self._record_cache_cap = max(0, int(record_cache))
         self._local = threading.local()
         self._connections: List[sqlite3.Connection] = []
@@ -144,15 +145,22 @@ class WarehouseBackend(GraphBackend):
     # ------------------------------------------------------------------
     # GraphBackend interface
     # ------------------------------------------------------------------
-    def _cache_record(self, key: str, record: RawRecord) -> RawRecord:
+    def _cache_row(self, key: str, row: tuple) -> Tuple[tuple, Dict[str, Any]]:
+        """Decode a ``(neighbors, attributes)`` JSON row and cache the result."""
+        entry = (tuple(json.loads(row[0])), json.loads(row[1]) if row[1] else {})
         cache = self._record_cache
         if self._record_cache_cap:
             if len(cache) >= self._record_cache_cap:
                 # FIFO eviction: cheap, lock-free under the GIL, and good
                 # enough for a cache whose entries never go stale.
                 cache.pop(next(iter(cache)), None)
-            cache[key] = record
-        return record
+            cache[key] = entry
+        return entry
+
+    @staticmethod
+    def _record(node: NodeId, entry: Tuple[tuple, Dict[str, Any]]) -> RawRecord:
+        # The caller gets its own attribute dict, never the cached one.
+        return RawRecord(node, entry[0], dict(entry[1]))
 
     def fetch(self, node: NodeId) -> RawRecord:
         key = try_encode_node_key(node)
@@ -160,19 +168,15 @@ class WarehouseBackend(GraphBackend):
             # An id the canonical key encoding cannot represent cannot be in
             # the store: an ordinary miss, exactly like CSR's identity path.
             raise NodeNotFoundError(node)
-        cached = self._record_cache.get(key)
-        if cached is not None:
-            return cached
-        row = self._conn().execute(
-            "SELECT neighbors, attributes FROM nodes WHERE node=?", (key,)
-        ).fetchone()
-        if row is None:
-            raise NodeNotFoundError(node)
-        return self._cache_record(key, RawRecord(
-            node=node,
-            neighbors=tuple(json.loads(row[0])),
-            attributes=json.loads(row[1]) if row[1] else {},
-        ))
+        entry = self._record_cache.get(key)
+        if entry is None:
+            row = self._conn().execute(
+                "SELECT neighbors, attributes FROM nodes WHERE node=?", (key,)
+            ).fetchone()
+            if row is None:
+                raise NodeNotFoundError(node)
+            entry = self._cache_row(key, row)
+        return self._record(node, entry)
 
     #: fetch_many chunk size, comfortably under SQLite's bound-variable cap.
     _BATCH = 500
@@ -200,7 +204,7 @@ class WarehouseBackend(GraphBackend):
                 missing_keys.append(key)
         if not keys:
             return []
-        fetched: Dict[str, RawRecord] = {}
+        fetched: Dict[str, Tuple[tuple, Dict[str, Any]]] = {}
         if missing_keys:
             conn = self._conn()
             rows: Dict[str, tuple] = {}
@@ -221,17 +225,14 @@ class WarehouseBackend(GraphBackend):
                 if row is None:
                     raise NodeNotFoundError(node)
                 if key not in fetched:
-                    fetched[key] = self._cache_record(key, RawRecord(
-                        node=node,
-                        neighbors=tuple(json.loads(row[0])),
-                        attributes=json.loads(row[1]) if row[1] else {},
-                    ))
+                    fetched[key] = self._cache_row(key, row)
         records: List[RawRecord] = []
         for node, key in zip(nodes, keys):
-            record = fetched.get(key) or cache.get(key)
-            if record is None:  # evicted between the scan and here
-                record = self.fetch(node)
-            records.append(record)
+            entry = fetched.get(key) or cache.get(key)
+            if entry is None:  # evicted between the scan and here
+                records.append(self.fetch(node))
+            else:
+                records.append(self._record(node, entry))
         return records
 
     def contains(self, node: NodeId) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -23,6 +24,7 @@ from repro.api import (
     InMemoryBackend,
     QueryBudget,
     RateLimitLayer,
+    SamplingSession,
     ShuffleLayer,
     TraceLayer,
     build_api,
@@ -30,7 +32,7 @@ from repro.api import (
     iter_layers,
 )
 from repro.api.ratelimit import FixedWindowPolicy, SimulatedClock
-from repro.exceptions import NodeNotFoundError, QueryBudgetExceededError
+from repro.exceptions import InvalidConfigurationError, NodeNotFoundError, QueryBudgetExceededError
 from repro.graphs import load_dataset
 from repro.walks import make_walker
 
@@ -207,6 +209,29 @@ class TestStackAccounting:
         # Cache hits remain free after exhaustion, as before.
         api.query(0)
         assert api.total_queries == 4
+
+    @pytest.mark.parametrize("limit", [np.int64(3), np.int32(3), np.uint16(3)], ids=repr)
+    def test_numpy_integer_budget_is_a_limit(self, attributed_graph, limit):
+        api = build_api(CSRBackend.from_graph(attributed_graph), budget=limit)
+        for node in (0, 1, 2):
+            api.query(node)
+        with pytest.raises(QueryBudgetExceededError):
+            api.query(3)
+        assert api.budget.limit == 3 and type(api.budget.limit) is int
+        assert api.query_many([0, 1]) and api.unique_queries == 3
+
+    def test_numpy_integer_budget_runs_a_session(self, attributed_graph):
+        session = SamplingSession(attributed_graph, seed=1).budget(np.int64(4)).walker("srw", seed=1)
+        result = session.run(max_steps=None)
+        assert result.stopped_by_budget and result.unique_queries == 4
+
+    @pytest.mark.parametrize("budget", [True, False, np.bool_(True), 3.0, "3", [3]], ids=repr)
+    def test_non_integer_budget_is_refused_when_the_stack_is_built(self, attributed_graph, budget):
+        with pytest.raises(InvalidConfigurationError, match="budget"):
+            build_api(attributed_graph, budget=budget)
+        session = SamplingSession(attributed_graph, seed=1).budget(budget).walker("srw", seed=1)
+        with pytest.raises(InvalidConfigurationError, match="budget"):
+            session.run(max_steps=None)
 
     def test_rate_limit_layer_advances_clock_for_fresh_only(self, attributed_graph):
         clock = SimulatedClock()

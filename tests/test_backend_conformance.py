@@ -290,6 +290,26 @@ class TestRawRecords:
                 identity_backend.fetch_many([0, bogus])
             assert not identity_backend.contains(bogus)
 
+    def test_mutated_attributes_never_reach_a_later_answer(self, backend, reference):
+        """A record's attribute dict is the caller's: no backend keeps it.
+
+        The middleware hands a backend's records up without copying, so
+        mutating a fetched record, or a queried view, must not change what
+        a later fetch, or a fresh stack's query, returns.
+        """
+        node = next(n for n in reference.node_ids() if reference.fetch(n).attributes)
+        expected = reference.fetch(node).attributes
+        for record in (backend.fetch(node), *backend.fetch_many([node, node])):
+            record.attributes.clear()
+            record.attributes["tampered"] = True
+        assert backend.fetch(node).attributes == expected
+        assert [r.attributes for r in backend.fetch_many([node, node])] == [expected] * 2
+        api = build_api(backend)
+        for view in (api.query(node), *build_api(backend).query_many([node])):
+            view.attributes["tampered"] = True
+        assert build_api(backend).query(node).attributes == expected
+        assert build_api(backend).query_many([node])[0].attributes == expected
+
     def test_contains_metadata_and_len_agree(self, backend, reference):
         assert len(backend) == len(reference)
         assert sorted(backend.node_ids()) == sorted(reference.node_ids())

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import GraphAPI
+from repro.api import APILayer, GraphAPI, build_api
 from repro.exceptions import InvalidConfigurationError
 from repro.walks import grouping as grouping_module
 from repro.walks import make_grouping
@@ -226,6 +226,54 @@ class TestDegreeGrouping:
         api = GraphAPI(attributed_graph)
         DegreeGrouping().partition(attributed_graph.nodes(), api)
         assert api.unique_queries == 0
+
+
+class NoFreeMetadata(APILayer):
+    """A layer that serves no inline metadata, so degrees come from the cache or a query."""
+
+    def peek_metadata(self, node):
+        return None
+
+
+class TestDegreeGroupingPartition:
+    """``DegreeGrouping.partition`` (reader resolved once) against ``group_of``."""
+
+    STACKS = {
+        "memory": lambda graph: build_api(graph),
+        "csr": lambda graph: build_api(graph, backend="csr"),
+        "traced-budget": lambda graph: build_api(graph, backend="csr", budget=40, trace=True),
+        "cacheless": lambda graph: build_api(graph, cache=False),
+        "no-metadata": lambda graph: build_api(graph, layers=[NoFreeMetadata]),
+        "graphapi": lambda graph: GraphAPI(graph),
+    }
+
+    @pytest.mark.parametrize("logarithmic", [True, False], ids=["log", "linear"])
+    @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "no-prefetch"])
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_partition_matches_group_of(self, facebook_small, stack, prefetch, logarithmic):
+        grouping = DegreeGrouping(logarithmic=logarithmic, bin_width=3, prefetch=prefetch)
+        make = self.STACKS[stack]
+        api, reference_api = make(facebook_small), make(facebook_small)
+        nodes = facebook_small.nodes()
+        for node in nodes[:8]:  # some degrees come from the cache
+            api.query(node)
+            reference_api.query(node)
+        # Without prefetch an unknown id falls into the -1 group; with it, it is queried.
+        unknown = [] if prefetch else ["missing-id"]
+        for node in nodes[:30]:
+            neighbors = facebook_small.neighbors(node) + nodes[::97] + unknown
+            assert_same_partition(
+                grouping.partition(neighbors, api),
+                GroupingStrategy.partition(grouping, neighbors, reference_api),
+            )
+            assert api.unique_queries == reference_api.unique_queries
+            assert api.total_queries == reference_api.total_queries
+
+    def test_reader_skips_forwarding_layers_only(self, facebook_small):
+        api = build_api(facebook_small, backend="csr", budget=10, trace=True)
+        assert grouping_module._metadata_reader(api) == api.backend.metadata
+        masked = build_api(facebook_small, layers=[NoFreeMetadata])
+        assert grouping_module._metadata_reader(masked) == masked.peek_metadata
 
 
 class TestOtherStrategies:
