@@ -1,16 +1,17 @@
 """Benchmark: access-layer middleware overhead and batched-query speedup.
 
-The access-layer redesign splits the monolithic ``GraphAPI`` into a backend
-plus a middleware stack.  This benchmark answers the two questions that
-justify the split:
+The access layer is a storage backend under a middleware stack.  This
+benchmark answers the questions that justify the split:
 
 1. *What does the stack cost?*  Per-query overhead of the full canonical
    stack versus a bare ``BackendAPI``, measured on cache hits (the common
    case for a walking sampler).
 2. *What does it buy?*  Throughput of the legacy single-query path
-   (``GraphAPI.query`` in a loop) versus the array-based
-   :class:`~repro.api.backend.CSRBackend` driven through batched
-   ``query_many`` calls, on a >= 100k-node synthetic graph.
+   (``query`` in a loop over an in-memory stack with the layers the original
+   single-class API had: cache, an unlimited budget, an unlimited rate
+   limit) versus the array-based :class:`~repro.api.backend.CSRBackend`
+   driven through batched ``query_many`` calls, on a >= 100k-node
+   synthetic graph.
 
 3. *What does one billed fetch cost?*  Absolute microseconds on the scalar
    miss path for the in-memory, CSR and memory-mapped backends: a bare
@@ -30,7 +31,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import CSRBackend, GraphAPI, InMemoryBackend, build_api
+from repro.api import CSRBackend, InMemoryBackend, QueryBudget, UnlimitedPolicy, build_api
 from repro.graphs import Graph
 from repro.storage import load_snapshot, save_snapshot
 
@@ -82,7 +83,7 @@ def sweep(big_graph):
 
 
 def _legacy_sweep(graph, nodes):
-    api = GraphAPI(graph)
+    api = build_api(graph, budget=QueryBudget(None), rate_limit=UnlimitedPolicy())
     query = api.query
     for node in nodes:
         query(node)

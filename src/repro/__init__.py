@@ -45,26 +45,24 @@ restrictive neighbors-of-one-node queries, a local cache that makes duplicate
 queries free, and a unique-query budget (the paper's cost measure).  Add
 ``.rate_limit(twitter_policy())`` to measure simulated crawl time,
 ``.backend("csr")`` to serve a large graph from compact arrays, or
-``.trace()`` to record every query.  The legacy ``GraphAPI`` constructor
-remains available as a thin shim over the same stack::
+``.trace()`` to record every query.  :func:`~repro.api.builder.build_api`
+builds the same stack for driving a walker directly::
 
-    from repro import GraphAPI, QueryBudget, make_walker
+    from repro import build_api, make_walker
 
-    api = GraphAPI(graph, budget=QueryBudget(500))
+    api = build_api(graph, budget=500)
     walker = make_walker("cnrw", api=api, seed=1)
     result = walker.run(api.random_node(seed=1), max_steps=None)
 """
 
 from .api import (
     CSRBackend,
-    GraphAPI,
     GraphBackend,
     HTTPGraphBackend,
     InMemoryBackend,
     NodeView,
     QueryBudget,
     SamplingSession,
-    Session,
     SocialNetworkAPI,
     TraceLayer,
     build_api,
@@ -183,7 +181,6 @@ __all__ = [
     "ExperimentError",
     "GNRW",
     "Graph",
-    "GraphAPI",
     "GraphBackend",
     "GraphError",
     "GraphHTTPServer",
@@ -215,7 +212,6 @@ __all__ = [
     "SRW",
     "SamplingSession",
     "SchedulerPolicy",
-    "Session",
     "ShardError",
     "ShardedBackend",
     "SimpleRandomWalk",

@@ -11,8 +11,7 @@ The package is organised in three explicit layers:
   :class:`SamplingSession` used by the CLI, the experiment runner and the
   examples.
 
-The legacy :class:`GraphAPI` constructor remains available as a thin shim
-over the same stack.
+Every stack is built by :func:`build_api`, directly or through a session.
 """
 
 from .backend import CSRBackend, GraphBackend, InMemoryBackend, RawRecord, as_backend
@@ -25,7 +24,7 @@ from .directed import (
     mutual_undirected_edges,
     store_from_edges,
 )
-from .interface import GraphAPI, NodeView, SocialNetworkAPI
+from .interface import NodeView, SocialNetworkAPI
 from .middleware import (
     APILayer,
     BackendAPI,
@@ -40,6 +39,7 @@ from .middleware import (
     TraceLayer,
     describe_stack,
     iter_layers,
+    resolve_attribute,
 )
 from .remote import HTTPGraphBackend, WIRE_FORMAT, WIRE_VERSION, walk_fingerprint
 from .ratelimit import (
@@ -52,7 +52,7 @@ from .ratelimit import (
     twitter_policy,
     yelp_policy,
 )
-from .session import SamplingSession, Session
+from .session import SamplingSession
 
 __all__ = [
     "APILayer",
@@ -64,7 +64,6 @@ __all__ = [
     "DirectedGraphStore",
     "DirectedToUndirectedAPI",
     "FixedWindowPolicy",
-    "GraphAPI",
     "GraphBackend",
     "HTTPGraphBackend",
     "InMemoryBackend",
@@ -80,7 +79,6 @@ __all__ = [
     "RateLimitPolicy",
     "RawRecord",
     "SamplingSession",
-    "Session",
     "ShuffleLayer",
     "SimulatedClock",
     "SocialNetworkAPI",
@@ -96,6 +94,7 @@ __all__ = [
     "iter_layers",
     "make_cache",
     "mutual_undirected_edges",
+    "resolve_attribute",
     "store_from_edges",
     "twitter_policy",
     "walk_fingerprint",

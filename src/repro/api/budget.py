@@ -8,7 +8,9 @@ error-versus-cost curves in Figures 6-11 are produced.
 
 from __future__ import annotations
 
-from ..exceptions import QueryBudgetExceededError
+import numbers
+
+from ..exceptions import InvalidConfigurationError, QueryBudgetExceededError
 
 
 class QueryBudget:
@@ -16,11 +18,21 @@ class QueryBudget:
 
     Args:
         limit: Maximum number of unique queries, or ``None`` for unlimited.
+            Any :class:`numbers.Integral` other than ``bool`` is a limit
+            (numpy integers included) and is stored as an ``int``; a
+            negative one, ``bool``, ``float`` and everything else raises
+            :class:`~repro.exceptions.InvalidConfigurationError`, a
+            :class:`ValueError`.
     """
 
     def __init__(self, limit=None) -> None:
-        if limit is not None and limit < 0:
-            raise ValueError("budget limit must be non-negative or None")
+        if limit is not None:
+            if not isinstance(limit, numbers.Integral) or isinstance(limit, bool) or limit < 0:
+                raise InvalidConfigurationError(
+                    f"budget limit must be a non-negative integer or None, "
+                    f"not {type(limit).__name__} {limit!r}"
+                )
+            limit = int(limit)
         self.limit = limit
         self.spent = 0
 

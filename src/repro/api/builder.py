@@ -5,8 +5,7 @@
     trace -> cache -> budget -> rate-limit -> shuffle -> backend
 
 Outer layers see cheaper traffic (cache hits never reach the budget or the
-rate limiter), inner layers see only billable fetches.  The legacy
-``GraphAPI`` constructor is a thin shim over this builder, and
+rate limiter), inner layers see only billable fetches.
 :class:`~repro.api.session.SamplingSession` drives it for the fluent
 high-level interface.
 """
@@ -86,8 +85,8 @@ def build_api(
     Returns:
         The outermost :class:`SocialNetworkAPI` of the stack.  Attribute
         access (``budget``, ``rate_limit``, ``cache``, ``graph``,
-        ``random_node``, ...) is delegated down the stack, so the result is a
-        drop-in replacement for the legacy monolithic ``GraphAPI``.
+        ``random_node``, ...) is delegated down the stack, so the outermost
+        layer answers for every layer below it.
     """
     resolved: GraphBackend
     if backend is not None and backend not in ("memory", "csr"):

@@ -19,19 +19,19 @@ overhead all the way down to ``backend.fetch_many``.  The records a backend
 returns are the views every layer passes up, unconverted and uncopied; only
 the shuffle layer builds a new one, with the neighbors re-ordered.
 Attribute access not handled by a layer is delegated to the wrapped API,
-which keeps the stack a drop-in replacement for the legacy monolithic
-``GraphAPI``.
+so ``api.budget``, ``api.cache`` or ``api.graph`` work on the outermost
+layer; :func:`resolve_attribute` finds once where such a look-up is really
+answered, for hot paths that read it on every step.
 """
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..exceptions import InvalidConfigurationError, NodeNotFoundError, QueryBudgetExceededError
+from ..exceptions import NodeNotFoundError, QueryBudgetExceededError
 from ..rng import SeedLike, make_rng
 from ..types import NodeId
 from .backend import GraphBackend
@@ -334,8 +334,8 @@ class BudgetLayer(APILayer):
 
     The budget is checked *before* the fetch (so an exhausted budget raises
     without touching the backend) and committed *after* it (so a missing node
-    costs nothing, matching the legacy ``GraphAPI`` accounting).  ``budget``
-    is a :class:`QueryBudget`, an integer limit or ``None`` (unlimited).
+    costs nothing).  ``budget`` is a :class:`QueryBudget`, an integer limit
+    or ``None`` (unlimited).
     """
 
     layer_name = "budget"
@@ -351,8 +351,7 @@ class BudgetLayer(APILayer):
         budget = self.budget
         limit = budget.limit
         if limit is not None and budget.spent >= limit:
-            # A rejected attempt still counts as a call (the historic GraphAPI
-            # incremented total_queries before the budget raised).
+            # A rejected attempt still counts as a call.
             if self._stats is not None:
                 self._stats.total += 1
             registry = obs.metrics()
@@ -393,22 +392,9 @@ class BudgetLayer(APILayer):
 
 
 def _as_query_budget(budget) -> QueryBudget:
-    """Resolve a budget argument: a :class:`QueryBudget`, an integer limit or ``None``.
-
-    Any :class:`numbers.Integral` other than ``bool`` is a limit (numpy
-    integers included).  ``bool``, ``float`` and everything else is refused
-    here, when the stack is built, instead of failing at the first query.
-    """
-    if budget is None:
-        return QueryBudget(None)
-    if isinstance(budget, QueryBudget):
-        return budget
-    if isinstance(budget, numbers.Integral) and not isinstance(budget, bool):
-        return QueryBudget(int(budget))
-    raise InvalidConfigurationError(
-        f"budget must be a QueryBudget, an integer limit or None, "
-        f"not {type(budget).__name__} {budget!r}"
-    )
+    """A :class:`QueryBudget` as is; anything else is a limit checked by its rule,
+    so a bad limit is refused when the stack is built, not at the first query."""
+    return budget if isinstance(budget, QueryBudget) else QueryBudget(budget)
 
 
 class RateLimitLayer(APILayer):
@@ -620,6 +606,44 @@ class TraceLayer(APILayer):
     def reset_counters(self) -> None:
         self._inner.reset_counters()
         self.trace.clear()
+
+
+#: What an unmodified :class:`BackendAPI` core answers an attribute from:
+#: ``name -> (attribute of the core, attribute of that object)``.
+_CORE_SOURCES = {
+    "unique_queries": ("stats", "unique"),
+    "peek_metadata": ("backend", "metadata"),
+}
+
+
+def resolve_attribute(api: SocialNetworkAPI, name: str) -> Tuple[Any, str]:
+    """Where ``getattr(api, name)`` is answered, as ``(owner, attribute)``.
+
+    Middleware layers that neither define ``name`` (on their class beyond
+    :class:`APILayer`, or on the instance) nor replace ``__getattr__`` only
+    forward it, so the walk skips them.  At an unmodified
+    :class:`BackendAPI` core, ``unique_queries`` is the shared
+    :class:`QueryStats` counter and ``peek_metadata`` the backend's
+    ``metadata``.  ``getattr(owner, attribute)`` then reads the same value
+    with no per-layer hops: the stack is fixed once built, so a hot path
+    resolves once and reads many times.
+    """
+    layer = api
+    while (
+        isinstance(layer, APILayer)
+        and name not in layer.__dict__
+        and type(layer).__getattr__ is APILayer.__getattr__
+        and getattr(type(layer), name, None) is getattr(APILayer, name, None)
+    ):
+        layer = layer.inner
+    source = _CORE_SOURCES.get(name)
+    if (
+        source is not None
+        and isinstance(layer, BackendAPI)
+        and getattr(type(layer), name) is getattr(BackendAPI, name)
+    ):
+        return getattr(layer, source[0]), source[1]
+    return layer, name
 
 
 def iter_layers(api: SocialNetworkAPI):

@@ -511,6 +511,3 @@ class SamplingSession:
             f"stack={describe_stack(self.api)!r})"
         )
 
-
-#: Short alias for fluent one-liners.
-Session = SamplingSession

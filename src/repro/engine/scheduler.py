@@ -43,10 +43,12 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from .. import obs
 from ..api.interface import NodeView, SocialNetworkAPI
+from ..api.middleware import resolve_attribute
 from ..exceptions import (
     DeadEndError,
     InvalidConfigurationError,
@@ -59,7 +61,6 @@ from ..walks.base import (
     WalkResult,
     implicit_step_cap,
     query_budget,
-    unique_counter,
 )
 
 #: How the scheduler reacts when a walker reaches a node with no neighbors.
@@ -182,7 +183,7 @@ class WalkScheduler:
             for walker, cap, start in zip(walkers, per_walker_steps, starts)
         ]
         query_many = api.query_many
-        unique = unique_counter(api)
+        unique = partial(getattr, *resolve_attribute(api, "unique_queries"))
         registry = obs.metrics()
 
         # ``views`` accumulates every fetched neighborhood for the whole

@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..api.budget import QueryBudget
 from ..api.ratelimit import FixedWindowPolicy, RateLimitPolicy
 from ..exceptions import (
+    InvalidConfigurationError,
     QueryBudgetExceededError,
     RateLimitExceededError,
     TenantAuthError,
@@ -314,10 +315,12 @@ def _build_policy(key: str, spec: Any) -> TenantPolicy:
             f"tenant entry for key {key!r} needs a non-empty string 'name'"
         )
     budget = spec.get("budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
+    try:
+        budget = QueryBudget(budget).limit
+    except InvalidConfigurationError as error:
         raise TenantConfigError(
             f"tenant {name!r}: 'budget' must be a non-negative integer or null"
-        )
+        ) from error
     rate_limit = None
     rate_spec = spec.get("rate_limit")
     if rate_spec is not None:

@@ -8,11 +8,12 @@ with burn-in and thinning, stopping at a query budget — lives here, so the
 algorithms differ *only* in their transition design, exactly as in the paper.
 
 The kernel split also separates the transition rule from the execution
-driver: :meth:`RandomWalk.step` queries the API itself (the classic
-one-walker driver), while :meth:`RandomWalk.step_with_view` advances off a
-view fetched by someone else.  The batched
-:class:`~repro.engine.scheduler.WalkScheduler` drives many walkers' kernels
-in lockstep off one shared batch per round, without per-walker queries.
+driver: :meth:`RandomWalk.run` and :meth:`RandomWalk.step` query the API
+themselves (the classic one-walker driver), while the batched
+:class:`~repro.engine.scheduler.WalkScheduler` calls each walker's kernel
+``choose``/``observe`` directly, in lockstep, off one shared batch per round,
+without per-walker queries.  :meth:`RandomWalk.step_with_view` advances one
+walker off a view fetched by someone else, for callers that hold one.
 
 Every driver (:meth:`RandomWalk.run`, the scheduler's round loop and the vector
 engine's :meth:`~repro.engine.vector.VectorEnsembleResult.to_walk_results`)
@@ -30,11 +31,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..api.budget import QueryBudget
 from ..api.interface import NodeView, SocialNetworkAPI
-from ..api.middleware import APILayer, BackendAPI
+from ..api.middleware import resolve_attribute
 from ..exceptions import DeadEndError, InvalidStartNodeError, QueryBudgetExceededError
 from ..rng import SeedLike, make_rng
 from ..types import NodeId, Sample, SampleRecord, Transition
@@ -50,22 +51,6 @@ def query_budget(api: SocialNetworkAPI) -> QueryBudget:
     """
     budget = getattr(api, "budget", None)
     return budget if budget is not None else QueryBudget(None)
-
-
-def unique_counter(api: SocialNetworkAPI) -> Callable[[], int]:
-    """A zero-argument reader of ``api.unique_queries``.
-
-    Every middleware layer forwards the counter to the one
-    :class:`~repro.api.middleware.QueryStats` at the bottom of the stack;
-    reading that directly skips one property call per layer.  Any other API
-    is read through its own property.
-    """
-    layer = api
-    while isinstance(layer, APILayer) and type(layer).unique_queries is APILayer.unique_queries:
-        layer = layer.inner
-    if isinstance(layer, BackendAPI) and type(layer).unique_queries is BackendAPI.unique_queries:
-        return partial(getattr, layer.stats, "unique")
-    return partial(getattr, api, "unique_queries")
 
 
 def implicit_step_cap(limit: Optional[int]) -> int:
@@ -235,7 +220,9 @@ class RandomWalk:
     def step_with_view(self, view: NodeView) -> Transition:
         """Perform one transition off an externally fetched view of the
         current node (no API query issued by this method itself; the kernel
-        may still query for metadata, e.g. GNRW grouping prefetch)."""
+        may still query for metadata, e.g. GNRW grouping prefetch).  No walk
+        driver calls it: :meth:`run` uses :meth:`advance_with_view`, and the
+        scheduler calls the kernel directly."""
         source = self._state.current
         step_index = self._state.step_index
         target = self.advance_with_view(view)
@@ -309,7 +296,7 @@ class RandomWalk:
             self._finalize(result)
             return result
         query = api.query
-        unique = unique_counter(api)
+        unique = partial(getattr, *resolve_attribute(api, "unique_queries"))
         state = self._state
         records = result.sample_records
         add_node = result.path.append

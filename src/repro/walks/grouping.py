@@ -15,21 +15,22 @@ Each strategy here maps a neighbor (as seen through the restricted API — the
 walker passes the neighbor's *attributes only if it already queried them*, so
 by default strategies must work with the node id and any locally known data).
 To stay faithful to the access model, attribute- and degree-based strategies
-look the values up through the API **of already-queried nodes only when
-available** and otherwise fall back to a hash group; the ``prefetch`` option
-lets users trade extra queries for exact grouping, and is what the paper's
-setting corresponds to (profile attributes of listed neighbors are typically
-returned inline by real OSN APIs).
+read a neighbor's profile through :func:`profile_reader`: the free inline
+metadata, then the local cache of already-queried nodes, and otherwise a
+default group; the ``prefetch`` option lets users trade extra queries for
+exact grouping, and is what the paper's setting corresponds to (profile
+attributes of listed neighbors are typically returned inline by real OSN
+APIs).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.interface import SocialNetworkAPI
-from ..api.middleware import APILayer, BackendAPI
+from ..api.middleware import resolve_attribute
 from ..exceptions import InvalidConfigurationError
 from ..types import NodeId
 
@@ -42,15 +43,24 @@ class GroupingStrategy:
     #: Short name used by reports and the walker factory.
     name = "grouping"
 
+    def key_reader(self, api: SocialNetworkAPI) -> Callable[[NodeId], GroupKey]:
+        """Return ``node -> group key`` for one neighborhood.
+
+        Subclasses override this; whatever the reader needs from ``api`` is
+        looked up here, once per neighborhood, not once per neighbor.
+        """
+        raise NotImplementedError
+
     def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:
         """Return the group key of ``node``."""
-        raise NotImplementedError
+        return self.key_reader(api)(node)
 
     def partition(self, neighbors: Sequence[NodeId], api: SocialNetworkAPI) -> Dict[GroupKey, List[NodeId]]:
         """Partition ``neighbors`` into groups (order inside groups preserved)."""
+        key_of = self.key_reader(api)
         groups: Dict[GroupKey, List[NodeId]] = {}
         for node in neighbors:
-            groups.setdefault(self.group_of(node, api), []).append(node)
+            groups.setdefault(key_of(node), []).append(node)
         return groups
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -63,7 +73,7 @@ class HashGrouping(GroupingStrategy):
     This is the paper's GNRW-By-MD5 baseline: group membership carries no
     information about the node, so GNRW degenerates to (approximately) CNRW.
 
-    :meth:`group_of` is the definition.  :meth:`partition` gives the same
+    :meth:`key_reader` is the definition.  :meth:`partition` gives the same
     result but looks the groups of non-negative ``int`` ids below
     :data:`MEMO_CAP` up in one table per ``num_groups`` shared by the whole
     process, so each such id is hashed once per process, not once per visit
@@ -78,8 +88,9 @@ class HashGrouping(GroupingStrategy):
         self.num_groups = num_groups
         self.name = f"md5-{num_groups}"
 
-    def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:  # noqa: ARG002
-        return _md5_group(node, self.num_groups)
+    def key_reader(self, api: SocialNetworkAPI) -> Callable[[NodeId], GroupKey]:  # noqa: ARG002
+        num_groups = self.num_groups
+        return lambda node: _md5_group(node, num_groups)
 
     def partition(self, neighbors: Sequence[NodeId], api: SocialNetworkAPI) -> Dict[GroupKey, List[NodeId]]:
         num_groups = self.num_groups
@@ -142,7 +153,52 @@ def _grown_table(num_groups: int, node: int) -> bytearray:
     return grown
 
 
-class AttributeValueGrouping(GroupingStrategy):
+#: A neighbor's free profile, ``(degree, attributes)``, or ``None`` if unknown.
+Profile = Optional[Tuple[int, Mapping[str, Any]]]
+
+
+def profile_reader(api: SocialNetworkAPI, prefetch: bool) -> Callable[[NodeId], Profile]:
+    """Return ``node -> (degree, attributes)`` without billing unless ``prefetch``.
+
+    Resolution order: the API's free inline profile metadata (how real OSN
+    responses expose neighbor profiles), then the local query cache, then
+    — if ``prefetch`` is true — a billed query; ``None`` when none of them
+    knows the node.  The metadata reader and the cache are looked up once
+    per call of this function (see
+    :func:`~repro.api.middleware.resolve_attribute`), and the attributes are
+    the served mapping itself, to be read, not changed.
+    """
+    peek = getattr(*resolve_attribute(api, "peek_metadata"), None)
+    cache = getattr(api, "cache", None)
+    cached = cache.peek if cache is not None else None
+
+    def profile_of(node: NodeId) -> Profile:
+        if peek is not None:
+            metadata = peek(node)
+            if metadata is not None:
+                return int(metadata.get("degree", 0)), metadata.get("attributes", {})
+        if cached is not None:
+            view = cached(node)
+            if view is not None:
+                return view.degree, view.attributes
+        if prefetch:
+            view = api.query(node)
+            return view.degree, view.attributes
+        return None
+
+    return profile_of
+
+
+class ProfileGrouping(GroupingStrategy):
+    """A strategy whose ``profile_key`` maps a neighbor's :data:`Profile` to its group."""
+
+    def key_reader(self, api: SocialNetworkAPI) -> Callable[[NodeId], GroupKey]:
+        profile_of = profile_reader(api, self.prefetch)
+        key = self.profile_key
+        return lambda node: key(profile_of(node))
+
+
+class AttributeValueGrouping(ProfileGrouping):
     """Group by the exact value of a (categorical) node attribute."""
 
     def __init__(self, attribute: str, default: GroupKey = "unknown", prefetch: bool = True) -> None:
@@ -151,14 +207,13 @@ class AttributeValueGrouping(GroupingStrategy):
         self.prefetch = prefetch
         self.name = f"attr-{attribute}"
 
-    def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:
-        attrs = _known_attributes(node, api, prefetch=self.prefetch)
-        if attrs is None:
+    def profile_key(self, profile: Profile) -> GroupKey:
+        if profile is None:
             return self.default
-        return attrs.get(self.attribute, self.default)
+        return profile[1].get(self.attribute, self.default)
 
 
-class NumericBinGrouping(GroupingStrategy):
+class NumericBinGrouping(ProfileGrouping):
     """Group a numeric attribute into fixed-width bins.
 
     The paper groups Yelp users by ``reviews_count``; since the attribute is
@@ -184,12 +239,11 @@ class NumericBinGrouping(GroupingStrategy):
         self.prefetch = prefetch
         self.name = f"bin-{attribute}"
 
-    def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:
-        attrs = _known_attributes(node, api, prefetch=self.prefetch)
-        if attrs is None or self.attribute not in attrs:
+    def profile_key(self, profile: Profile) -> GroupKey:
+        if profile is None or self.attribute not in profile[1]:
             return self.default_bin
         try:
-            value = float(attrs[self.attribute])
+            value = float(profile[1][self.attribute])
         except (TypeError, ValueError):
             return self.default_bin
         if not math.isfinite(value):
@@ -197,7 +251,7 @@ class NumericBinGrouping(GroupingStrategy):
         return max(0, int((value - self.minimum) // self.bin_width))
 
 
-class DegreeGrouping(GroupingStrategy):
+class DegreeGrouping(ProfileGrouping):
     """Group neighbors by (binned) degree — the paper's GNRW-By-Degree.
 
     Degrees grow over orders of magnitude in social graphs, so the bins are
@@ -212,21 +266,10 @@ class DegreeGrouping(GroupingStrategy):
         self.prefetch = prefetch
         self.name = "degree-log" if logarithmic else f"degree-{bin_width}"
 
-    def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:
-        return self._bin(_degree_reader(api, self.prefetch)(node))
-
-    def partition(self, neighbors: Sequence[NodeId], api: SocialNetworkAPI) -> Dict[GroupKey, List[NodeId]]:
-        # The same groups as GroupingStrategy.partition, with the degree
-        # reader resolved once per neighborhood instead of once per neighbor.
-        degree_of = _degree_reader(api, self.prefetch)
-        groups: Dict[GroupKey, List[NodeId]] = {}
-        for node in neighbors:
-            groups.setdefault(self._bin(degree_of(node)), []).append(node)
-        return groups
-
-    def _bin(self, degree: Optional[int]) -> GroupKey:
-        if degree is None:
+    def profile_key(self, profile: Profile) -> GroupKey:
+        if profile is None:
             return -1
+        degree = profile[0]
         if self.logarithmic:
             return int(degree).bit_length()
         return degree // self.bin_width
@@ -239,8 +282,8 @@ class CallableGrouping(GroupingStrategy):
         self.function = function
         self.name = name
 
-    def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:  # noqa: ARG002
-        return self.function(node)
+    def key_reader(self, api: SocialNetworkAPI) -> Callable[[NodeId], GroupKey]:  # noqa: ARG002
+        return self.function
 
 
 class ExplicitGrouping(GroupingStrategy):
@@ -251,72 +294,9 @@ class ExplicitGrouping(GroupingStrategy):
         self.default = default
         self.name = "explicit"
 
-    def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:  # noqa: ARG002
-        return self.mapping.get(node, self.default)
-
-
-def _known_attributes(node: NodeId, api: SocialNetworkAPI, prefetch: bool) -> Optional[dict]:
-    """Return the node's attributes without spending billable queries.
-
-    Resolution order: the API's free inline profile metadata (how real OSN
-    responses expose neighbor profiles), then the local query cache, then — if
-    ``prefetch`` is true — a full billed query as a last resort.
-    """
-    peek = getattr(api, "peek_metadata", None)
-    if callable(peek):
-        metadata = peek(node)
-        if metadata is not None:
-            return dict(metadata.get("attributes", {}))
-    cache = getattr(api, "cache", None)
-    if cache is not None:
-        view = cache.peek(node)
-        if view is not None:
-            return dict(view.attributes)
-    if prefetch:
-        return dict(api.query(node).attributes)
-    return None
-
-
-def _metadata_reader(api: SocialNetworkAPI) -> Optional[Callable[[NodeId], Optional[dict]]]:
-    """The callable that answers ``api.peek_metadata`` (``None`` if it has none), found once.
-
-    Middleware layers that do not override ``peek_metadata`` only forward
-    it, so the reader is looked up past them, down to the backend's
-    ``metadata`` when the core :class:`~repro.api.middleware.BackendAPI`
-    is reached: one call per neighbor instead of one per layer.
-    """
-    while isinstance(api, APILayer) and type(api).peek_metadata is APILayer.peek_metadata:
-        api = api.inner
-    if isinstance(api, BackendAPI) and type(api).peek_metadata is BackendAPI.peek_metadata:
-        return api.backend.metadata
-    peek = getattr(api, "peek_metadata", None)
-    return peek if callable(peek) else None
-
-
-def _degree_reader(api: SocialNetworkAPI, prefetch: bool) -> Callable[[NodeId], Optional[int]]:
-    """Return ``node -> degree`` as :class:`DegreeGrouping` resolves it.
-
-    Resolution order, as for attributes: the free inline metadata, then the
-    local query cache, then — if ``prefetch`` is true — a billed query;
-    ``None`` when none of them knows the node.
-    """
-    peek = _metadata_reader(api)
-    cache = getattr(api, "cache", None)
-
-    def degree_of(node: NodeId) -> Optional[int]:
-        if peek is not None:
-            metadata = peek(node)
-            if metadata is not None:
-                return int(metadata.get("degree", 0))
-        if cache is not None:
-            view = cache.peek(node)
-            if view is not None:
-                return view.degree
-        if prefetch:
-            return api.query(node).degree
-        return None
-
-    return degree_of
+    def key_reader(self, api: SocialNetworkAPI) -> Callable[[NodeId], GroupKey]:  # noqa: ARG002
+        mapping, default = self.mapping, self.default
+        return lambda node: mapping.get(node, default)
 
 
 _STRATEGY_BUILDERS: Dict[str, Callable[..., GroupingStrategy]] = {

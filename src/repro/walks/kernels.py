@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..api.interface import NodeView, SocialNetworkAPI
+from ..api.middleware import resolve_attribute
 from ..rng import cumulative_pick
 from ..types import NodeId
 
@@ -144,10 +145,10 @@ class MHRWKernel(TransitionKernel):
 
     def __init__(self, api: SocialNetworkAPI) -> None:
         self.api = api
-        # Resolved once: the stack is immutable after construction, and this
-        # getattr sits on the per-proposal hot path.
-        peek = getattr(api, "peek_metadata", None)
-        self._peek = peek if callable(peek) else None
+        # Resolved once, past the layers that only forward it: the stack is
+        # fixed after construction, and this call sits on the per-proposal
+        # hot path.
+        self._peek = getattr(*resolve_attribute(api, "peek_metadata"), None)
 
     def choose(self, state: WalkState, view: NodeView, rng: np.random.Generator) -> NodeId:
         proposal = uniform_choice(rng, view.neighbors)

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.api import GraphAPI, QueryBudget
+from repro.api import QueryBudget, SocialNetworkAPI, build_api
 from repro.graphs import (
     Graph,
     barbell_graph,
@@ -137,10 +137,10 @@ def no_graph_server_leaks():
 
 
 @pytest.fixture
-def api(attributed_graph) -> GraphAPI:
-    return GraphAPI(attributed_graph)
+def api(attributed_graph) -> SocialNetworkAPI:
+    return build_api(attributed_graph)
 
 
 @pytest.fixture
-def budgeted_api(attributed_graph) -> GraphAPI:
-    return GraphAPI(attributed_graph, budget=QueryBudget(50))
+def budgeted_api(attributed_graph) -> SocialNetworkAPI:
+    return build_api(attributed_graph, budget=QueryBudget(50))

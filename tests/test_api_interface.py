@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import GraphAPI, QueryBudget, TraceLayer
+from repro.api import QueryBudget, TraceLayer, build_api
 from repro.api.ratelimit import FixedWindowPolicy, SimulatedClock
 from repro.exceptions import NodeNotFoundError, QueryBudgetExceededError
 
@@ -18,7 +18,7 @@ class TestQueryAccounting:
         assert api.total_queries == 3
 
     def test_duplicate_queries_are_free(self, attributed_graph):
-        api = GraphAPI(attributed_graph, budget=QueryBudget(1))
+        api = build_api(attributed_graph, budget=QueryBudget(1))
         api.query(0)
         # Repeating the same node must not consume the exhausted budget.
         view = api.query(0)
@@ -26,7 +26,7 @@ class TestQueryAccounting:
         assert api.unique_queries == 1
 
     def test_budget_enforced(self, attributed_graph):
-        api = GraphAPI(attributed_graph, budget=QueryBudget(2))
+        api = build_api(attributed_graph, budget=QueryBudget(2))
         api.query(0)
         api.query(1)
         with pytest.raises(QueryBudgetExceededError):
@@ -61,7 +61,7 @@ class TestNodeView:
         assert api.attributes(1)["city"] == "austin"
 
     def test_shuffled_neighbor_order_is_stable_per_node(self, attributed_graph):
-        api = GraphAPI(attributed_graph, shuffle_neighbors=True, seed=5)
+        api = build_api(attributed_graph, shuffle_neighbors=True, seed=5)
         first = api.query(0).neighbors
         second = api.query(0).neighbors
         assert first == second
@@ -77,7 +77,7 @@ class TestNodeView:
 class TestRateLimitIntegration:
     def test_rate_limited_queries_advance_clock(self, attributed_graph):
         clock = SimulatedClock()
-        api = GraphAPI(
+        api = build_api(
             attributed_graph,
             rate_limit=FixedWindowPolicy(max_calls=2, window_seconds=60.0),
             clock=clock,
@@ -90,7 +90,7 @@ class TestRateLimitIntegration:
 
     def test_cache_hits_do_not_touch_rate_limit(self, attributed_graph):
         clock = SimulatedClock()
-        api = GraphAPI(
+        api = build_api(
             attributed_graph,
             rate_limit=FixedWindowPolicy(max_calls=1, window_seconds=60.0),
             clock=clock,
@@ -103,7 +103,7 @@ class TestRateLimitIntegration:
 
 class TestLRUCacheMode:
     def test_evicted_nodes_are_billed_again(self, attributed_graph):
-        api = GraphAPI(attributed_graph, cache_capacity=1)
+        api = build_api(attributed_graph, cache_capacity=1)
         api.query(0)
         api.query(1)  # evicts 0
         api.query(0)  # billed again
@@ -116,7 +116,7 @@ class TestRandomNode:
         assert attributed_graph.has_node(node)
 
     def test_random_node_reproducible(self, attributed_graph):
-        api = GraphAPI(attributed_graph)
+        api = build_api(attributed_graph)
         assert api.random_node(seed=3) == api.random_node(seed=3)
 
 

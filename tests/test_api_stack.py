@@ -20,7 +20,6 @@ from repro.api import (
     BudgetLayer,
     CSRBackend,
     CacheLayer,
-    GraphAPI,
     InMemoryBackend,
     QueryBudget,
     RateLimitLayer,
@@ -30,6 +29,7 @@ from repro.api import (
     build_api,
     describe_stack,
     iter_layers,
+    resolve_attribute,
 )
 from repro.api.ratelimit import FixedWindowPolicy, SimulatedClock
 from repro.exceptions import InvalidConfigurationError, NodeNotFoundError, QueryBudgetExceededError
@@ -301,6 +301,29 @@ class TestStackAccounting:
         assert isinstance(layers[0], TraceLayer)
         assert isinstance(layers[-1], BackendAPI)
 
+    def test_resolve_attribute_finds_the_answering_layer(self, attributed_graph):
+        api = build_api(attributed_graph, budget=5, rate_limit=FixedWindowPolicy(5, 1.0),
+                        shuffle_neighbors=True, trace=True)
+        core = list(iter_layers(api))[-1]
+        assert resolve_attribute(api, "unique_queries") == (core.stats, "unique")
+        assert resolve_attribute(api, "peek_metadata") == (core.backend, "metadata")
+        assert resolve_attribute(api, "cache") == (api.inner, "cache")
+        budget_owner, _ = resolve_attribute(api, "budget")
+        assert isinstance(budget_owner, BudgetLayer) and budget_owner.budget is api.budget
+        api.query(0)
+        assert getattr(*resolve_attribute(api, "unique_queries")) == api.unique_queries == 1
+
+    def test_resolve_attribute_stops_at_an_overriding_layer(self, attributed_graph):
+        class Doubled(TraceLayer):
+            @property
+            def unique_queries(self):
+                return 2 * self.inner.unique_queries
+
+        api = build_api(attributed_graph, layers=[Doubled])
+        assert resolve_attribute(api, "unique_queries") == (api, "unique_queries")
+        plain = InMemoryBackend(attributed_graph)
+        assert resolve_attribute(plain, "peek_metadata") == (plain, "peek_metadata")
+
 
 class TestQueryMany:
     def test_batch_equals_sequential_accounting(self, attributed_graph):
@@ -454,7 +477,7 @@ class TestQueryMany:
         assert api.trace.frequency() == {0: 2, 1: 1, 2: 1}
 
     def test_default_implementation_on_plain_api(self, attributed_graph):
-        api = GraphAPI(attributed_graph)
+        api = build_api(attributed_graph)
         views = api.query_many([0, 1])
         assert [view.node for view in views] == [0, 1]
         assert api.unique_queries == 2
@@ -469,9 +492,8 @@ class TestQueryMany:
 # fixture — with start=nodes()[0], walker seed 7 and a budget of 60 unique
 # queries.  Every walk stops on budget exhaustion, and the recorded totals
 # include the final budget-rejected attempt, exactly as the historic
-# accounting did.  Because both GraphAPI and build_api now share one code
-# path, comparing them to each other cannot detect drift from the monolith;
-# these constants can.
+# accounting did.  The monolith is gone and build_api is the one way to
+# build a stack, so only these constants can detect drift from it.
 LEGACY_GOLDEN = {
     "srw": dict(unique=60, total=309, path_len=155, last=86, crc=4134503233),
     "cnrw": dict(unique=60, total=313, path_len=157, last=20, crc=4053506785),
@@ -491,7 +513,6 @@ def _path_crc(path):
 
 @pytest.mark.parametrize("walker_name", sorted(LEGACY_GOLDEN))
 @pytest.mark.parametrize("make_api", [
-    pytest.param(lambda g: GraphAPI(g, budget=QueryBudget(60)), id="graphapi-shim"),
     pytest.param(lambda g: build_api(g, budget=60), id="build_api-stack"),
 ])
 def test_walks_match_pre_refactor_golden_values(facebook_small, walker_name, make_api):
@@ -519,7 +540,7 @@ def test_shuffled_walk_matches_pre_refactor_golden_values(facebook_small):
 @pytest.mark.parametrize("walker_name", ["cnrw", "gnrw_by_degree"])
 def test_stack_traces_identical_to_legacy_graphapi(facebook_small, walker_name):
     budget = 80
-    legacy_api = TraceLayer(GraphAPI(facebook_small, budget=QueryBudget(budget)))
+    legacy_api = TraceLayer(build_api(facebook_small, budget=QueryBudget(budget)))
     stacked_api = build_api(facebook_small, budget=budget, trace=True)
     start = facebook_small.nodes()[0]
 
@@ -560,7 +581,7 @@ class TestLayerDelegation:
         assert deep.unique_queries == layer.unique_queries
 
     def test_pickle_roundtrip(self, attributed_graph):
-        layer = TraceLayer(GraphAPI(attributed_graph))
+        layer = TraceLayer(build_api(attributed_graph))
         layer.query(0)
         restored = pickle.loads(pickle.dumps(layer))
         assert restored.trace.queried_nodes == [0]

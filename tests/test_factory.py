@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import GraphAPI
+from repro.api import build_api
 from repro.exceptions import InvalidConfigurationError
 from repro.walks import (
     CirculatedNeighborsRandomWalk,
@@ -78,8 +78,8 @@ class TestConstruction:
         assert walker.grouping.attribute == "age"
 
     def test_seed_is_threaded(self, attributed_graph):
-        a = make_walker("cnrw", api=GraphAPI(attributed_graph), seed=11)
-        b = make_walker("cnrw", api=GraphAPI(attributed_graph), seed=11)
+        a = make_walker("cnrw", api=build_api(attributed_graph), seed=11)
+        b = make_walker("cnrw", api=build_api(attributed_graph), seed=11)
         assert a.run(0, max_steps=40).path == b.run(0, max_steps=40).path
 
     def test_explicit_grouping_overrides_name(self, api):

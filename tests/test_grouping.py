@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import APILayer, GraphAPI, build_api
+from repro.api import APILayer, QueryBudget, UnlimitedPolicy, build_api, resolve_attribute
 from repro.exceptions import InvalidConfigurationError
 from repro.walks import grouping as grouping_module
 from repro.walks import make_grouping
@@ -165,7 +165,7 @@ class TestAttributeValueGrouping:
         assert grouping.group_of(0, api) == "none"
 
     def test_does_not_consume_budget(self, attributed_graph):
-        api = GraphAPI(attributed_graph)
+        api = build_api(attributed_graph)
         grouping = AttributeValueGrouping("city")
         grouping.partition(attributed_graph.nodes(), api)
         assert api.unique_queries == 0
@@ -223,7 +223,7 @@ class TestDegreeGrouping:
             DegreeGrouping(logarithmic=False, bin_width=0)
 
     def test_does_not_consume_budget(self, attributed_graph):
-        api = GraphAPI(attributed_graph)
+        api = build_api(attributed_graph)
         DegreeGrouping().partition(attributed_graph.nodes(), api)
         assert api.unique_queries == 0
 
@@ -235,8 +235,64 @@ class NoFreeMetadata(APILayer):
         return None
 
 
+class CountsCacheLookups(APILayer):
+    """A layer that counts the ``cache`` look-ups it forwards."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.cache_lookups = 0
+
+    def __getattr__(self, item):
+        if item == "cache":
+            self.cache_lookups += 1
+        return super().__getattr__(item)
+
+
+#: ``strategy id -> (strategy factory, key of a (degree, attributes) profile or None)``,
+#: the key written out here independently of the strategies' own code.
+PROFILE_STRATEGIES = {
+    "log": (
+        lambda prefetch: DegreeGrouping(logarithmic=True, bin_width=3, prefetch=prefetch),
+        lambda profile: -1 if profile is None else int(profile[0]).bit_length(),
+    ),
+    "linear": (
+        lambda prefetch: DegreeGrouping(logarithmic=False, bin_width=3, prefetch=prefetch),
+        lambda profile: -1 if profile is None else profile[0] // 3,
+    ),
+    "attribute": (
+        lambda prefetch: AttributeValueGrouping("activity", default="none", prefetch=prefetch),
+        lambda profile: "none" if profile is None else profile[1].get("activity", "none"),
+    ),
+    "numeric": (
+        lambda prefetch: NumericBinGrouping("activity", bin_width=10.0, default_bin=-3,
+                                            prefetch=prefetch),
+        lambda profile: -3 if profile is None else max(0, int(profile[1]["activity"] // 10)),
+    ),
+}
+
+
+def per_node_partition(key, neighbors, api, prefetch):
+    """Each neighbor's profile looked up on its own, through the outermost layer."""
+    groups = {}
+    for node in neighbors:
+        metadata = api.peek_metadata(node)
+        cache = getattr(api, "cache", None)
+        view = cache.peek(node) if cache is not None else None
+        if metadata is not None:
+            profile = (metadata["degree"], metadata["attributes"])
+        elif view is not None:
+            profile = (view.degree, view.attributes)
+        elif prefetch:
+            view = api.query(node)
+            profile = (view.degree, view.attributes)
+        else:
+            profile = None
+        groups.setdefault(key(profile), []).append(node)
+    return groups
+
+
 class TestDegreeGroupingPartition:
-    """``DegreeGrouping.partition`` (reader resolved once) against ``group_of``."""
+    """Profile-keyed ``partition`` (look-ups resolved once) against a per-node loop."""
 
     STACKS = {
         "memory": lambda graph: build_api(graph),
@@ -244,36 +300,55 @@ class TestDegreeGroupingPartition:
         "traced-budget": lambda graph: build_api(graph, backend="csr", budget=40, trace=True),
         "cacheless": lambda graph: build_api(graph, cache=False),
         "no-metadata": lambda graph: build_api(graph, layers=[NoFreeMetadata]),
-        "graphapi": lambda graph: GraphAPI(graph),
+        # The layers the removed GraphAPI class assembled: budget and rate limit unlimited.
+        "graphapi": lambda graph: build_api(
+            graph, budget=QueryBudget(None), rate_limit=UnlimitedPolicy()
+        ),
     }
 
-    @pytest.mark.parametrize("logarithmic", [True, False], ids=["log", "linear"])
+    @pytest.mark.parametrize("strategy", sorted(PROFILE_STRATEGIES))
     @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "no-prefetch"])
     @pytest.mark.parametrize("stack", sorted(STACKS))
-    def test_partition_matches_group_of(self, facebook_small, stack, prefetch, logarithmic):
-        grouping = DegreeGrouping(logarithmic=logarithmic, bin_width=3, prefetch=prefetch)
+    def test_partition_matches_group_of(self, facebook_small, stack, prefetch, strategy):
+        make_grouping_for, key = PROFILE_STRATEGIES[strategy]
+        grouping = make_grouping_for(prefetch)
         make = self.STACKS[stack]
         api, reference_api = make(facebook_small), make(facebook_small)
         nodes = facebook_small.nodes()
-        for node in nodes[:8]:  # some degrees come from the cache
+        for node in nodes[:8]:  # some profiles come from the cache
             api.query(node)
             reference_api.query(node)
-        # Without prefetch an unknown id falls into the -1 group; with it, it is queried.
+        # Without prefetch an unknown id falls into the default group; with it, it is queried.
         unknown = [] if prefetch else ["missing-id"]
         for node in nodes[:30]:
             neighbors = facebook_small.neighbors(node) + nodes[::97] + unknown
             assert_same_partition(
                 grouping.partition(neighbors, api),
-                GroupingStrategy.partition(grouping, neighbors, reference_api),
+                per_node_partition(key, neighbors, reference_api, prefetch),
             )
             assert api.unique_queries == reference_api.unique_queries
             assert api.total_queries == reference_api.total_queries
 
     def test_reader_skips_forwarding_layers_only(self, facebook_small):
         api = build_api(facebook_small, backend="csr", budget=10, trace=True)
-        assert grouping_module._metadata_reader(api) == api.backend.metadata
+        assert getattr(*resolve_attribute(api, "peek_metadata")) == api.backend.metadata
         masked = build_api(facebook_small, layers=[NoFreeMetadata])
-        assert grouping_module._metadata_reader(masked) == masked.peek_metadata
+        assert getattr(*resolve_attribute(masked, "peek_metadata")) == masked.peek_metadata
+
+    @pytest.mark.parametrize("grouping", [
+        AttributeValueGrouping("activity", prefetch=False),
+        NumericBinGrouping("activity", prefetch=False),
+    ], ids=["attribute", "numeric"])
+    def test_cache_is_looked_up_once_per_partition(self, facebook_small, grouping):
+        api = build_api(facebook_small, layers=[NoFreeMetadata, CountsCacheLookups])
+        neighbors = facebook_small.nodes()[:20]
+        for node in neighbors[:10]:
+            api.query(node)
+        partition = grouping.partition(neighbors, api)
+        assert api.cache_lookups == 1
+        grouping.partition(neighbors, api)
+        assert api.cache_lookups == 2
+        assert len(partition) > 1
 
 
 class TestOtherStrategies:
@@ -323,7 +398,7 @@ class TestPartitionWithoutMetadata:
             def reset_counters(self):
                 self._inner.reset_counters()
 
-        api = NoPeekAPI(GraphAPI(attributed_graph))
+        api = NoPeekAPI(build_api(attributed_graph))
         grouping = AttributeValueGrouping("city", default="unknown", prefetch=False)
         # Without metadata, cache or prefetch the strategy degrades gracefully.
         assert grouping.group_of(0, api) == "unknown"

@@ -7,8 +7,8 @@ import pytest
 import repro
 from repro import (
     AggregateQuery,
-    GraphAPI,
     QueryBudget,
+    build_api,
     estimate,
     ground_truth,
     load_dataset,
@@ -32,7 +32,7 @@ class TestReadmeQuickstart:
     def test_quickstart_flow(self):
         """The exact flow advertised in the package docstring / README."""
         graph = load_dataset("facebook_like", seed=1, scale=0.2)
-        api = GraphAPI(graph, budget=QueryBudget(300))
+        api = build_api(graph, budget=QueryBudget(300))
         walker = make_walker("cnrw", api=api, seed=1)
         result = walker.run(api.random_node(seed=1), max_steps=None)
         answer = estimate(result.samples, AggregateQuery.average_degree())
@@ -48,7 +48,7 @@ class TestCrawlSimulation:
     def test_rate_limited_crawl_reports_wall_clock(self):
         graph = load_dataset("facebook_like", seed=2, scale=0.1)
         clock = SimulatedClock()
-        api = GraphAPI(
+        api = build_api(
             graph, budget=QueryBudget(40), rate_limit=twitter_policy(), clock=clock
         )
         walker = make_walker("cnrw", api=api, seed=2)
@@ -59,7 +59,7 @@ class TestCrawlSimulation:
 
     def test_trace_layer_tracks_walker_queries(self):
         graph = load_dataset("facebook_like", seed=3, scale=0.1)
-        api = TraceLayer(GraphAPI(graph, budget=QueryBudget(30)))
+        api = TraceLayer(build_api(graph, budget=QueryBudget(30)))
         walker = make_walker("gnrw_by_degree", api=api, seed=3)
         result = walker.run(graph.nodes()[0], max_steps=None)
         assert len(api.trace) >= result.unique_queries
@@ -76,7 +76,7 @@ class TestAggregateWorkflows:
             name="avg reviews of older users",
         )
         truth = ground_truth(graph, query)
-        api = GraphAPI(graph, budget=QueryBudget(400))
+        api = build_api(graph, budget=QueryBudget(400))
         walker = make_walker("gnrw_by_attribute", api=api, seed=4, group_attribute="reviews_count")
         result = walker.run(graph.nodes()[0], max_steps=None)
         answer = estimate(result.samples, query)
@@ -93,7 +93,7 @@ class TestAggregateWorkflows:
         predicate = lambda node, attrs: attrs.get("reviews_count", 0) > threshold  # noqa: E731
         query = AggregateQuery.count(predicate)
         truth = ground_truth(graph, query)
-        api = GraphAPI(graph, budget=QueryBudget(500))
+        api = build_api(graph, budget=QueryBudget(500))
         walker = make_walker("cnrw", api=api, seed=5)
         result = walker.run(graph.nodes()[0], max_steps=None)
         answer = estimate(
@@ -159,7 +159,7 @@ class TestDropInReplacementContract:
     @pytest.mark.parametrize("name", ["srw", "nbsrw", "cnrw", "gnrw_by_degree", "nbcnrw"])
     def test_every_walker_supports_the_same_api(self, name):
         graph = load_dataset("facebook_like", seed=7, scale=0.1)
-        api = GraphAPI(graph, budget=QueryBudget(60))
+        api = build_api(graph, budget=QueryBudget(60))
         walker = make_walker(name, api=api, seed=7)
         result = walker.run(graph.nodes()[0], max_steps=None, burn_in=5, thinning=2)
         assert result.unique_queries <= 60

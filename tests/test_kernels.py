@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import GraphAPI, build_api
+from repro import build_api
 from repro.walks import make_walker
 from repro.walks.kernels import (
     CNRWKernel,
@@ -51,17 +51,17 @@ class TestKernelWiring:
         ("gnrw_by_degree", GNRWKernel),
     ])
     def test_walkers_carry_their_kernel(self, attributed_graph, name, kernel_type):
-        walker = make_walker(name, api=GraphAPI(attributed_graph), seed=0)
+        walker = make_walker(name, api=build_api(attributed_graph), seed=0)
         assert isinstance(walker.kernel, kernel_type)
 
     def test_cnrw_recurrence_variants(self, attributed_graph):
-        edge = make_walker("cnrw", api=GraphAPI(attributed_graph), seed=0)
-        node = make_walker("cnrw_node", api=GraphAPI(attributed_graph), seed=0)
+        edge = make_walker("cnrw", api=build_api(attributed_graph), seed=0)
+        node = make_walker("cnrw_node", api=build_api(attributed_graph), seed=0)
         assert edge.kernel.recurrence == "edge"
         assert node.kernel.recurrence == "node"
 
     def test_history_property_is_kernel_history(self, attributed_graph):
-        walker = make_walker("cnrw", api=GraphAPI(attributed_graph), seed=0)
+        walker = make_walker("cnrw", api=build_api(attributed_graph), seed=0)
         assert walker.history is walker.kernel.history
 
     def test_base_kernel_is_abstract(self):
@@ -69,7 +69,7 @@ class TestKernelWiring:
             TransitionKernel().choose(WalkState(), None, np.random.default_rng(0))
 
     def test_kernel_reset_clears_history(self, facebook_small):
-        walker = make_walker("cnrw", api=GraphAPI(facebook_small), seed=1)
+        walker = make_walker("cnrw", api=build_api(facebook_small), seed=1)
         walker.run(facebook_small.nodes()[0], max_steps=30)
         assert walker.kernel.history.tracked_edges > 0
         walker.kernel.reset()

@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import GraphAPI, InMemoryBackend, LRUCache, QueryBudget, QueryCache
+from repro.api import InMemoryBackend, LRUCache, QueryBudget, QueryCache, build_api
 from repro.estimation import AggregateQuery, reweighted_mean
 from repro.graphs import Graph, undirected_from_edges
 from repro.graphs.loaders import load_edge_list, save_edge_list
@@ -120,7 +120,7 @@ class TestWalkProperties:
     @given(connected_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_walk_path_follows_edges(self, graph, seed):
-        api = GraphAPI(graph)
+        api = build_api(graph)
         walk = SimpleRandomWalk(api, seed=seed)
         start = graph.nodes()[0]
         result = walk.run(start, max_steps=40)
@@ -130,7 +130,7 @@ class TestWalkProperties:
     @given(connected_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_cnrw_unique_queries_equal_distinct_visits(self, graph, seed):
-        api = GraphAPI(graph)
+        api = build_api(graph)
         walk = CirculatedNeighborsRandomWalk(api, seed=seed)
         start = graph.nodes()[0]
         result = walk.run(start, max_steps=60)
@@ -140,7 +140,7 @@ class TestWalkProperties:
     @settings(max_examples=30, deadline=None)
     def test_cnrw_circulation_invariant(self, graph, seed):
         """No outgoing neighbor repeats within one circulation round of an edge."""
-        walk = CirculatedNeighborsRandomWalk(GraphAPI(graph), seed=seed)
+        walk = CirculatedNeighborsRandomWalk(build_api(graph), seed=seed)
         result = walk.run(graph.nodes()[0], max_steps=120)
         path = result.path
         buckets = {}
@@ -159,7 +159,7 @@ class TestWalkProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_budget_never_exceeded(self, graph, seed, budget):
-        api = GraphAPI(graph, budget=QueryBudget(budget))
+        api = build_api(graph, budget=QueryBudget(budget))
         walk = SimpleRandomWalk(api, seed=seed)
         result = walk.run(graph.nodes()[0], max_steps=500)
         assert result.unique_queries <= budget
@@ -216,7 +216,7 @@ class TestGroupingProperties:
     def test_hash_partition_is_disjoint_cover(self, neighbors, num_groups):
         graph = Graph()
         graph.add_nodes(neighbors)
-        api = GraphAPI(graph) if neighbors else None
+        api = build_api(graph) if neighbors else None
         grouping = HashGrouping(num_groups=num_groups)
         partition = grouping.partition(neighbors, api)
         flattened = [node for members in partition.values() for node in members]

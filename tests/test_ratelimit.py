@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import QueryBudget
@@ -14,7 +15,11 @@ from repro.api.ratelimit import (
     twitter_policy,
     yelp_policy,
 )
-from repro.exceptions import QueryBudgetExceededError, RateLimitExceededError
+from repro.exceptions import (
+    InvalidConfigurationError,
+    QueryBudgetExceededError,
+    RateLimitExceededError,
+)
 
 
 class TestSimulatedClock:
@@ -181,3 +186,13 @@ class TestQueryBudget:
             QueryBudget(-1)
         with pytest.raises(ValueError):
             QueryBudget(5).spend(-1)
+
+    @pytest.mark.parametrize("limit", [2.5, 3.0, True, False, np.bool_(True), "3", [3], -1],
+                             ids=repr)
+    def test_only_non_negative_integers_are_limits(self, limit):
+        with pytest.raises(InvalidConfigurationError, match="budget"):
+            QueryBudget(limit)
+
+    def test_integral_limits_are_stored_as_int(self):
+        assert type(QueryBudget(np.int64(5)).limit) is int
+        assert QueryBudget(np.uint8(0)).exhausted

@@ -87,6 +87,8 @@ class TestTenantsConfig:
         (tenants_doc(k={"budget": 5}), "name"),
         (tenants_doc(k={"name": "a", "budget": -1}), "budget"),
         (tenants_doc(k={"name": "a", "budget": "lots"}), "budget"),
+        (tenants_doc(k={"name": "a", "budget": True}), "budget"),
+        (tenants_doc(k={"name": "a", "budget": 2.5}), "budget"),
         (tenants_doc(k={"name": "a", "rate_limit": {"max_calls": 5}}), "rate_limit"),
         (tenants_doc(k={"name": "a", "typo": 1}), "unknown fields"),
         (tenants_doc(k={"name": "same"}, k2={"name": "same"}), "unique"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AggregateQuery, GraphAPI, QueryBudget, SamplingSession, Session, ground_truth
+from repro import AggregateQuery, QueryBudget, SamplingSession, build_api, ground_truth
 from repro.api import CSRBackend, twitter_policy
 from repro.api.ratelimit import SimulatedClock
 from repro.walks import make_walker
@@ -16,9 +16,6 @@ class TestConfiguration:
         assert session.budget(10) is session
         assert session.walker("cnrw", seed=1) is session
         assert session.trace() is session
-
-    def test_session_alias(self):
-        assert Session is SamplingSession
 
     def test_stack_reflects_configuration(self, attributed_graph):
         clock = SimulatedClock()
@@ -63,7 +60,7 @@ class TestRunning:
             .walker("cnrw", seed=9)
             .run(start, max_steps=None)
         )
-        legacy_api = GraphAPI(facebook_small, budget=QueryBudget(120))
+        legacy_api = build_api(facebook_small, budget=QueryBudget(120))
         legacy_result = make_walker("cnrw", api=legacy_api, seed=9).run(start, max_steps=None)
         assert session_result.path == legacy_result.path
         assert session_result.unique_queries == legacy_result.unique_queries

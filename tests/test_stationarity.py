@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import GraphAPI
+from repro.api import build_api
 from repro.estimation import AggregateQuery, asymptotic_variance_across_chains, reweighted_mean
 from repro.graphs import barbell_graph, clustered_cliques_graph, load_dataset
 from repro.metrics import (
@@ -41,7 +41,7 @@ def visit_distribution(walker_cls, graph, steps, walks, seed_base, **kwargs):
     visits = []
     nodes = graph.nodes()
     for index in range(walks):
-        walker = walker_cls(GraphAPI(graph), seed=seed_base + index, **kwargs)
+        walker = walker_cls(build_api(graph), seed=seed_base + index, **kwargs)
         start = nodes[index % len(nodes)]
         visits.extend(walker.run(start, max_steps=steps).path)
     return empirical_distribution(visits, support=nodes)
@@ -102,7 +102,7 @@ class TestTheorem2LowerVariance:
         estimates = []
         nodes = graph.nodes()
         for index in range(self.CHAINS):
-            walker = walker_cls(GraphAPI(graph), seed=seed_base + index, **kwargs)
+            walker = walker_cls(build_api(graph), seed=seed_base + index, **kwargs)
             start = nodes[index % len(nodes)]
             result = walker.run(start, max_steps=self.STEPS)
             estimates.append(reweighted_mean(result.samples, query).value)
@@ -147,7 +147,7 @@ class TestTheorem3BarbellEscape:
         other_side = set(range(clique_size, 2 * clique_size))
         crossings = 0
         for trial in range(trials):
-            walker = walker_cls(GraphAPI(graph), seed=seed_base + trial)
+            walker = walker_cls(build_api(graph), seed=seed_base + trial)
             result = walker.run(trial % clique_size, max_steps=steps)
             if any(node in other_side for node in result.path):
                 crossings += 1

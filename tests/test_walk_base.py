@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import GraphAPI, QueryBudget
+from repro.api import QueryBudget, build_api
 from repro.exceptions import DeadEndError, InvalidStartNodeError
 from repro.graphs import Graph, complete_graph
 from repro.walks import SimpleRandomWalk
@@ -20,7 +20,7 @@ class TestStartAndStep:
         graph = Graph()
         graph.add_edge(1, 2)
         graph.add_node(3)
-        walk = SimpleRandomWalk(GraphAPI(graph), seed=0)
+        walk = SimpleRandomWalk(build_api(graph), seed=0)
         with pytest.raises(InvalidStartNodeError):
             walk.start(3)
 
@@ -39,7 +39,7 @@ class TestStartAndStep:
         # the situation directly by removing edges after start.
         graph = Graph()
         graph.add_edge(1, 2)
-        api = GraphAPI(graph)
+        api = build_api(graph)
         walk = SimpleRandomWalk(api, seed=0)
         walk.start(1)
         graph.remove_edge(1, 2)
@@ -84,7 +84,7 @@ class TestRun:
         assert len(result.samples) == 5
 
     def test_budget_stops_walk(self, attributed_graph):
-        api = GraphAPI(attributed_graph, budget=QueryBudget(3))
+        api = build_api(attributed_graph, budget=QueryBudget(3))
         walk = SimpleRandomWalk(api, seed=2)
         result = walk.run(0, max_steps=10_000)
         assert result.stopped_by_budget
@@ -92,7 +92,7 @@ class TestRun:
 
     def test_budget_exhausted_before_start(self, attributed_graph):
         budget = QueryBudget(1)
-        api = GraphAPI(attributed_graph, budget=budget)
+        api = build_api(attributed_graph, budget=budget)
         api.query(1)  # spend the only query on something else
         walk = SimpleRandomWalk(api, seed=2)
         result = walk.run(0, max_steps=10)
@@ -145,31 +145,31 @@ class TestRun:
 
 class TestIterSteps:
     def test_streaming_until_budget(self, attributed_graph):
-        api = GraphAPI(attributed_graph, budget=QueryBudget(4))
+        api = build_api(attributed_graph, budget=QueryBudget(4))
         walk = SimpleRandomWalk(api, seed=7)
         transitions = list(walk.iter_steps(0))
         assert len(transitions) >= 1
         assert api.budget.exhausted
 
     def test_streaming_with_exhausted_budget(self, attributed_graph):
-        api = GraphAPI(attributed_graph, budget=QueryBudget(0))
+        api = build_api(attributed_graph, budget=QueryBudget(0))
         walk = SimpleRandomWalk(api, seed=7)
         assert list(walk.iter_steps(0)) == []
 
 
 class TestDeterminism:
     def test_same_seed_same_walk(self, attributed_graph):
-        a = SimpleRandomWalk(GraphAPI(attributed_graph), seed=42).run(0, max_steps=50)
-        b = SimpleRandomWalk(GraphAPI(attributed_graph), seed=42).run(0, max_steps=50)
+        a = SimpleRandomWalk(build_api(attributed_graph), seed=42).run(0, max_steps=50)
+        b = SimpleRandomWalk(build_api(attributed_graph), seed=42).run(0, max_steps=50)
         assert a.path == b.path
 
     def test_different_seed_different_walk(self, attributed_graph):
-        a = SimpleRandomWalk(GraphAPI(attributed_graph), seed=1).run(0, max_steps=50)
-        b = SimpleRandomWalk(GraphAPI(attributed_graph), seed=2).run(0, max_steps=50)
+        a = SimpleRandomWalk(build_api(attributed_graph), seed=1).run(0, max_steps=50)
+        b = SimpleRandomWalk(build_api(attributed_graph), seed=2).run(0, max_steps=50)
         assert a.path != b.path
 
     def test_complete_graph_visits_everything(self):
         graph = complete_graph(6)
-        walk = SimpleRandomWalk(GraphAPI(graph), seed=0)
+        walk = SimpleRandomWalk(build_api(graph), seed=0)
         result = walk.run(0, max_steps=200)
         assert set(result.path) == set(graph.nodes())

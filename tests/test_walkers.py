@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import GraphAPI
+from repro.api import build_api
 from repro.exceptions import InvalidConfigurationError
 from repro.graphs import Graph, barbell_graph, complete_graph, cycle_graph, star_graph
 from repro.walks import (
@@ -22,7 +22,7 @@ from repro.walks.grouping import ExplicitGrouping
 
 class TestSimpleRandomWalk:
     def test_only_visits_neighbors(self, attributed_graph):
-        walk = SimpleRandomWalk(GraphAPI(attributed_graph), seed=0)
+        walk = SimpleRandomWalk(build_api(attributed_graph), seed=0)
         result = walk.run(0, max_steps=100)
         for u, v in zip(result.path, result.path[1:]):
             assert attributed_graph.has_edge(u, v)
@@ -30,7 +30,7 @@ class TestSimpleRandomWalk:
     def test_uniform_neighbor_choice(self):
         # From the hub of a star every leaf should be chosen roughly equally.
         graph = star_graph(4)
-        walk = SimpleRandomWalk(GraphAPI(graph), seed=1)
+        walk = SimpleRandomWalk(build_api(graph), seed=1)
         counts = {leaf: 0 for leaf in range(1, 5)}
         result = walk.run(0, max_steps=2000)
         for u, v in zip(result.path, result.path[1:]):
@@ -43,13 +43,13 @@ class TestSimpleRandomWalk:
 
 class TestMHRW:
     def test_self_transitions_allowed(self, facebook_small):
-        walk = MetropolisHastingsRandomWalk(GraphAPI(facebook_small), seed=0)
+        walk = MetropolisHastingsRandomWalk(build_api(facebook_small), seed=0)
         result = walk.run(facebook_small.nodes()[0], max_steps=300)
         self_loops = sum(1 for u, v in zip(result.path, result.path[1:]) if u == v)
         assert self_loops > 0
 
     def test_moves_stay_on_edges_or_self(self, facebook_small):
-        walk = MetropolisHastingsRandomWalk(GraphAPI(facebook_small), seed=1)
+        walk = MetropolisHastingsRandomWalk(build_api(facebook_small), seed=1)
         result = walk.run(facebook_small.nodes()[0], max_steps=200)
         for u, v in zip(result.path, result.path[1:]):
             assert u == v or facebook_small.has_edge(u, v)
@@ -57,7 +57,7 @@ class TestMHRW:
     def test_regular_graph_never_rejects(self):
         # On a clique all degrees are equal, so acceptance is always 1.
         graph = complete_graph(5)
-        walk = MetropolisHastingsRandomWalk(GraphAPI(graph), seed=2)
+        walk = MetropolisHastingsRandomWalk(build_api(graph), seed=2)
         result = walk.run(0, max_steps=200)
         assert all(u != v for u, v in zip(result.path, result.path[1:]))
 
@@ -65,8 +65,8 @@ class TestMHRW:
         # MHRW targets the uniform distribution, so relative to SRW it must
         # spend more time on the low-degree leaves of a star.
         graph = star_graph(8)
-        mhrw = MetropolisHastingsRandomWalk(GraphAPI(graph), seed=3)
-        srw = SimpleRandomWalk(GraphAPI(graph), seed=3)
+        mhrw = MetropolisHastingsRandomWalk(build_api(graph), seed=3)
+        srw = SimpleRandomWalk(build_api(graph), seed=3)
         mhrw_path = mhrw.run(0, max_steps=3000).path
         srw_path = srw.run(0, max_steps=3000).path
         mhrw_leaf_fraction = sum(1 for node in mhrw_path if node != 0) / len(mhrw_path)
@@ -76,7 +76,7 @@ class TestMHRW:
 
 class TestNBSRW:
     def test_never_backtracks_when_alternatives_exist(self, facebook_small):
-        walk = NonBacktrackingRandomWalk(GraphAPI(facebook_small), seed=0)
+        walk = NonBacktrackingRandomWalk(build_api(facebook_small), seed=0)
         result = walk.run(facebook_small.nodes()[0], max_steps=300)
         path = result.path
         for i in range(2, len(path)):
@@ -87,7 +87,7 @@ class TestNBSRW:
         graph = Graph()
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
-        walk = NonBacktrackingRandomWalk(GraphAPI(graph), seed=1)
+        walk = NonBacktrackingRandomWalk(build_api(graph), seed=1)
         result = walk.run(0, max_steps=10)
         # From node 0 (degree 1) the only move is back to 1.
         assert result.path[:2] == [0, 1]
@@ -98,7 +98,7 @@ class TestCNRW:
     def test_circulation_covers_all_neighbors(self):
         """After u->v is traversed k(v) times, every neighbor has been used."""
         graph = star_graph(5)  # hub 0 with leaves 1..5
-        walk = CirculatedNeighborsRandomWalk(GraphAPI(graph), seed=0)
+        walk = CirculatedNeighborsRandomWalk(build_api(graph), seed=0)
         result = walk.run(1, max_steps=10 * 2)  # path alternates leaf-hub
         # Outgoing choices after the edge (1 -> 0) and subsequent (x -> 0):
         # the first 5 departures from the hub after arriving from leaf 1 must
@@ -115,7 +115,7 @@ class TestCNRW:
 
     def test_no_repeat_before_full_circulation_invariant(self, facebook_small):
         """For every directed edge, outgoing choices never repeat within a round."""
-        walk = CirculatedNeighborsRandomWalk(GraphAPI(facebook_small), seed=3)
+        walk = CirculatedNeighborsRandomWalk(build_api(facebook_small), seed=3)
         result = walk.run(facebook_small.nodes()[0], max_steps=2000)
         path = result.path
         seen = {}
@@ -129,7 +129,7 @@ class TestCNRW:
             bucket.append(path[i + 1])
 
     def test_history_is_per_edge_not_per_node(self):
-        walk = CirculatedNeighborsRandomWalk(GraphAPI(complete_graph(5)), seed=1)
+        walk = CirculatedNeighborsRandomWalk(build_api(complete_graph(5)), seed=1)
         walk.run(0, max_steps=100)
         state = walk.history.state()
         sources = {key[0] for key in state}
@@ -137,7 +137,7 @@ class TestCNRW:
 
     def test_node_based_variant(self):
         walk = CirculatedNeighborsRandomWalk(
-            GraphAPI(complete_graph(5)), recurrence="node", seed=1
+            build_api(complete_graph(5)), recurrence="node", seed=1
         )
         result = walk.run(0, max_steps=50)
         assert result.steps == 50
@@ -145,10 +145,10 @@ class TestCNRW:
 
     def test_invalid_recurrence(self):
         with pytest.raises(InvalidConfigurationError):
-            CirculatedNeighborsRandomWalk(GraphAPI(complete_graph(3)), recurrence="bogus")
+            CirculatedNeighborsRandomWalk(build_api(complete_graph(3)), recurrence="bogus")
 
     def test_reset_clears_history(self, facebook_small):
-        walk = CirculatedNeighborsRandomWalk(GraphAPI(facebook_small), seed=3)
+        walk = CirculatedNeighborsRandomWalk(build_api(facebook_small), seed=3)
         walk.run(facebook_small.nodes()[0], max_steps=100)
         assert walk.history.tracked_edges > 0
         walk.reset()
@@ -157,8 +157,8 @@ class TestCNRW:
     def test_same_query_cost_as_srw_for_same_steps(self, facebook_small):
         """CNRW costs exactly the same queries per step as SRW (Section 3.3)."""
         start = facebook_small.nodes()[0]
-        srw_api = GraphAPI(facebook_small)
-        cnrw_api = GraphAPI(facebook_small)
+        srw_api = build_api(facebook_small)
+        cnrw_api = build_api(facebook_small)
         srw_result = SimpleRandomWalk(srw_api, seed=5).run(start, max_steps=200)
         cnrw_result = CirculatedNeighborsRandomWalk(cnrw_api, seed=5).run(start, max_steps=200)
         # Both issue one neighborhood query per distinct visited node.
@@ -168,13 +168,13 @@ class TestCNRW:
 
 class TestGNRW:
     def test_runs_with_default_hash_grouping(self, facebook_small):
-        walk = GroupByNeighborsRandomWalk(GraphAPI(facebook_small), seed=0)
+        walk = GroupByNeighborsRandomWalk(build_api(facebook_small), seed=0)
         result = walk.run(facebook_small.nodes()[0], max_steps=200)
         assert result.steps == 200
         assert walk.name.startswith("GNRW[")
 
     def test_moves_stay_on_edges(self, facebook_small):
-        walk = GroupByNeighborsRandomWalk(GraphAPI(facebook_small), seed=1)
+        walk = GroupByNeighborsRandomWalk(build_api(facebook_small), seed=1)
         result = walk.run(facebook_small.nodes()[0], max_steps=300)
         for u, v in zip(result.path, result.path[1:]):
             assert facebook_small.has_edge(u, v)
@@ -183,7 +183,7 @@ class TestGNRW:
         """With two explicit groups, consecutive departures alternate groups."""
         graph = star_graph(4)  # leaves 1..4
         grouping = ExplicitGrouping({1: "A", 2: "A", 3: "B", 4: "B"})
-        walk = GroupByNeighborsRandomWalk(GraphAPI(graph), grouping=grouping, seed=2)
+        walk = GroupByNeighborsRandomWalk(build_api(graph), grouping=grouping, seed=2)
         result = walk.run(1, max_steps=400)
         path = result.path
         # Collect the sequence of groups chosen on departures from the hub for
@@ -201,7 +201,7 @@ class TestGNRW:
 
     def test_single_group_reduces_to_cnrw_behaviour(self, facebook_small):
         grouping = HashGrouping(num_groups=1)
-        walk = GroupByNeighborsRandomWalk(GraphAPI(facebook_small), grouping=grouping, seed=3)
+        walk = GroupByNeighborsRandomWalk(build_api(facebook_small), grouping=grouping, seed=3)
         result = walk.run(facebook_small.nodes()[0], max_steps=300)
         # The per-edge no-repeat-within-a-round invariant of CNRW must hold.
         path = result.path
@@ -216,7 +216,7 @@ class TestGNRW:
             bucket.append(path[i + 1])
 
     def test_reset_clears_history(self, facebook_small):
-        walk = GroupByNeighborsRandomWalk(GraphAPI(facebook_small), seed=4)
+        walk = GroupByNeighborsRandomWalk(build_api(facebook_small), seed=4)
         walk.run(facebook_small.nodes()[0], max_steps=100)
         assert walk.history.tracked_edges > 0
         walk.reset()
@@ -225,7 +225,7 @@ class TestGNRW:
     def test_grouping_does_not_consume_budget(self, facebook_small):
         from repro.walks.grouping import DegreeGrouping
 
-        api = GraphAPI(facebook_small)
+        api = build_api(facebook_small)
         walk = GroupByNeighborsRandomWalk(api, grouping=DegreeGrouping(), seed=5)
         result = walk.run(facebook_small.nodes()[0], max_steps=100)
         # Only visited nodes should have been billed, exactly like SRW.
@@ -234,7 +234,7 @@ class TestGNRW:
 
 class TestNBCNRW:
     def test_never_backtracks_when_alternatives_exist(self, facebook_small):
-        walk = NonBacktrackingCNRW(GraphAPI(facebook_small), seed=0)
+        walk = NonBacktrackingCNRW(build_api(facebook_small), seed=0)
         result = walk.run(facebook_small.nodes()[0], max_steps=300)
         path = result.path
         for i in range(2, len(path)):
@@ -242,7 +242,7 @@ class TestNBCNRW:
                 assert path[i] != path[i - 2]
 
     def test_moves_stay_on_edges(self, facebook_small):
-        walk = NonBacktrackingCNRW(GraphAPI(facebook_small), seed=1)
+        walk = NonBacktrackingCNRW(build_api(facebook_small), seed=1)
         result = walk.run(facebook_small.nodes()[0], max_steps=200)
         for u, v in zip(result.path, result.path[1:]):
             assert facebook_small.has_edge(u, v)
@@ -251,7 +251,7 @@ class TestNBCNRW:
         graph = Graph()
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
-        walk = NonBacktrackingCNRW(GraphAPI(graph), seed=2)
+        walk = NonBacktrackingCNRW(build_api(graph), seed=2)
         result = walk.run(1, max_steps=20)
         assert result.steps == 20
 
@@ -261,7 +261,7 @@ class TestWeightedRandomWalk:
         # With constant weights the departure frequencies from a star's hub
         # must be uniform over the leaves, exactly like SRW.
         graph = star_graph(4)
-        walk = WeightedRandomWalk(GraphAPI(graph), weight_fn=lambda view, n: 1.0, seed=9)
+        walk = WeightedRandomWalk(build_api(graph), weight_fn=lambda view, n: 1.0, seed=9)
         result = walk.run(0, max_steps=2000)
         counts = {leaf: 0 for leaf in range(1, 5)}
         for u, v in zip(result.path, result.path[1:]):
@@ -275,7 +275,7 @@ class TestWeightedRandomWalk:
         graph = Graph()
         graph.add_edges([(0, 1), (0, 2)])
         walk = WeightedRandomWalk(
-            GraphAPI(graph), weight_fn=lambda view, n: 1000.0 if n == 1 else 0.0, seed=1
+            build_api(graph), weight_fn=lambda view, n: 1000.0 if n == 1 else 0.0, seed=1
         )
         result = walk.run(0, max_steps=40)
         departures = [v for u, v in zip(result.path, result.path[1:]) if u == 0]
@@ -283,7 +283,7 @@ class TestWeightedRandomWalk:
 
     def test_zero_weights_fall_back_to_uniform(self):
         graph = cycle_graph(4)
-        walk = WeightedRandomWalk(GraphAPI(graph), weight_fn=lambda view, n: 0.0, seed=2)
+        walk = WeightedRandomWalk(build_api(graph), weight_fn=lambda view, n: 0.0, seed=2)
         result = walk.run(0, max_steps=30)
         assert result.steps == 30
 
@@ -296,8 +296,8 @@ class TestBarbellBehaviour:
         crossings = {"srw": 0, "cnrw": 0}
         trials = 120
         for trial in range(trials):
-            srw = SimpleRandomWalk(GraphAPI(graph), seed=1000 + trial)
-            cnrw = CirculatedNeighborsRandomWalk(GraphAPI(graph), seed=1000 + trial)
+            srw = SimpleRandomWalk(build_api(graph), seed=1000 + trial)
+            cnrw = CirculatedNeighborsRandomWalk(build_api(graph), seed=1000 + trial)
             if any(node in other_side for node in srw.run(0, max_steps=60).path):
                 crossings["srw"] += 1
             if any(node in other_side for node in cnrw.run(0, max_steps=60).path):
