@@ -11,7 +11,8 @@ fresh stack.  CNRW, the paper's drop-in SRW replacement, must win by at
 least **12x**: its circulation history is array bookkeeping (one C-level
 bucket lookup per walker, slot bitmaps in one pool), and the per-walker
 Python loop it replaced measured 10.5-10.7x here.  The MHRW / NB-SRW ratios
-are recorded in the JSON payload without a floor.
+are recorded in the JSON payload without a floor, as is the CNRW history
+pool's final size in bitmap slots (``pool_slots``).
 
 The two engines are different seed lineages — the comparison is throughput
 of the same workload shape, not path parity (the scalar goldens stay the
@@ -35,7 +36,8 @@ import numpy as np
 import pytest
 
 from repro.api import CSRBackend, build_api
-from repro.engine import VectorScheduler, WalkScheduler
+from repro.engine import VectorScheduler, WalkScheduler, make_vector_kernel
+from repro.engine.vector import VectorCNRWKernel
 from repro.rng import derive_seed
 from repro.walks import make_walker
 
@@ -101,10 +103,10 @@ def _scalar_ensemble(backend, start_nodes, kernel_name):
     return results, api.unique_queries, api.total_queries
 
 
-def _vector_ensemble(backend, start_nodes, kernel_name):
+def _vector_ensemble(backend, start_nodes, kernel):
     """Contender: the array-native driver over an identical fresh stack."""
     api = build_api(backend)
-    result = VectorScheduler(api).run(kernel_name, start_nodes, steps=STEPS, seed=SEED)
+    result = VectorScheduler(api).run(kernel, start_nodes, steps=STEPS, seed=SEED)
     return result, api.unique_queries, api.total_queries
 
 
@@ -132,7 +134,8 @@ def _race(backend, start_nodes, kernel_name, repeats, required=None):
     for _ in range(repeats):
         seconds, scalar_out = _timed(_scalar_ensemble, backend, start_nodes, kernel_name)
         scalar_times.append(seconds)
-        seconds, vector_out = _timed(_vector_ensemble, backend, start_nodes, kernel_name)
+        kernel = make_vector_kernel(kernel_name)
+        seconds, vector_out = _timed(_vector_ensemble, backend, start_nodes, kernel)
         vector_times.append(seconds)
     scalar_seconds = statistics.median(scalar_times)
     vector_seconds = statistics.median(vector_times)
@@ -142,6 +145,10 @@ def _race(backend, start_nodes, kernel_name, repeats, required=None):
         f"scalar {scalar_seconds * 1e3:.1f} ms, vector "
         f"{vector_seconds * 1e3:.1f} ms ({speedup:.1f}x)"
     )
+    fields = {}
+    if isinstance(kernel, VectorCNRWKernel):
+        # The history pool's bitmap slots at the end of the last run.
+        fields["pool_slots"] = int(kernel._marks.size)
     record_bench_result(
         f"engine.vector_vs_scalar_{kernel_name}",
         nodes=NUM_NODES,
@@ -151,6 +158,7 @@ def _race(backend, start_nodes, kernel_name, repeats, required=None):
         vector_seconds=vector_seconds,
         speedup=speedup,
         required_speedup=required,
+        **fields,
     )
     if required is not None:
         assert speedup >= required, (

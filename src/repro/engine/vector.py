@@ -17,8 +17,9 @@ This module is the opt-in columnar execution mode:
   single uniform gather, MHRW a vectorised degree-ratio compare, NB-SRW an
   index-shift over the flattened neighbor rows, and CNRW the same uniform
   pick re-ranked over unmarked row slots for the walkers whose circulation
-  history constrains the hop, with that history kept as slot bitmaps in one
-  array pool (no per-walker Python loop);
+  history constrains the hop (no per-walker Python loop).  A bucket is
+  stored lazily: its first mark as a single slot number, and a slot bitmap
+  in one array pool only once the edge is taken a second time;
 * :class:`VectorScheduler` validates that the stack is vectorisable (an
   array-capable :class:`~repro.api.backend.CSRBackend` /
   ``MmapCSRBackend`` core, optionally an unbounded cache and a budget layer),
@@ -29,8 +30,8 @@ This module is the opt-in columnar execution mode:
 
 Non-vectorisable configurations (remote / sharded / warehouse backends,
 bounded LRU caches, rate limits, neighbor shuffling, tracing, kernels without
-an array-native rule such as GNRW, CNRW over a hand-built CSR that lists a
-neighbor twice in one row) raise the typed
+an array-native rule such as GNRW, CNRW or NB-SRW over a hand-built CSR
+that lists a neighbor twice in one row) raise the typed
 :class:`~repro.exceptions.VectorizationError`;
 ``SamplingSession.run_ensemble(mode="vector")`` catches it and falls back to
 the scalar lockstep path with a warning.
@@ -106,11 +107,11 @@ class VectorKernel:
     """Array-native transition rule: one call advances every walker.
 
     Subclasses implement :meth:`advance`; kernels with per-walker history
-    (CNRW) allocate it in :meth:`begin` and refuse graphs or ensemble sizes
-    they cannot serve in :meth:`check`.  Randomness discipline: a kernel
-    draws batched vectors from the rng it is passed, in a fixed number of
-    calls per round, so a fixed vector-lineage seed reproduces the ensemble
-    bit for bit.
+    (CNRW) allocate it in :meth:`begin`, and kernels refuse graphs or
+    ensemble sizes they cannot serve in :meth:`check` (CNRW, NB-SRW).
+    Randomness discipline: a kernel draws batched vectors from the rng it is
+    passed, in a fixed number of calls per round, so a fixed vector-lineage
+    seed reproduces the ensemble bit for bit.
     """
 
     #: Human-readable kernel name, overridden by subclasses.
@@ -197,10 +198,16 @@ class VectorNBSRWKernel(VectorKernel):
     Each round costs O(sum of current-node degrees): the rows of the current
     frontier are flattened once to locate the previous node's position, then
     a draw over ``degree - 1`` slots is shifted past it.  Row order is
-    preserved, matching the scalar kernel's order-preserving filter.
+    preserved, matching the scalar kernel's order-preserving filter.  The
+    shift skips one slot, so :meth:`check` refuses rows that list a
+    neighbor twice (the scalar kernel excludes every slot holding the
+    previous node).
     """
 
     name = "nbsrw"
+
+    def check(self, backend: CSRBackend, num_walkers: int) -> None:
+        _require_simple_rows(backend, "NB-SRW vector kernel skips one row slot per hop")
 
     def advance(self, state, indptr, indices, rng):
         cur = state.current
@@ -212,9 +219,9 @@ class VectorNBSRWKernel(VectorKernel):
         if state.step == 0:
             # No previous node anywhere: plain uniform pick.
             return _uniform_pick(starts, degs, indices, u)
-        # Locate previous within each walker's row (simple graphs: at most
-        # one occurrence).  walker[j] is the walker owning flat slot j,
-        # local[j] its position within that walker's row.
+        # Locate previous within each walker's row (check() admits only rows
+        # where it occurs at most once).  walker[j] is the walker owning flat
+        # slot j, local[j] its position within that walker's row.
         ends = np.cumsum(degs)
         total = int(ends[-1])
         row_offset = np.repeat(ends - degs, degs)
@@ -234,28 +241,39 @@ class VectorNBSRWKernel(VectorKernel):
 class VectorCNRWKernel(VectorKernel):
     """Circulated-neighbors rule with array-native circulation history.
 
-    Each ``b(u, v)`` bucket is a bitmap over the slots of the current
-    node's CSR row, marking the neighbors already taken in this
-    circulation.  All bitmaps share one flat ``bool`` pool; a dict maps a
-    bucket id (walker × incoming CSR slot for ``recurrence="edge"``,
-    walker × current node for ``"node"``) to a handle into per-bucket
-    ``base`` / ``count`` / ``size`` / ``key`` arrays.  One round:
+    A ``b(u, v)`` bucket marks the slots of the current node's CSR row
+    already taken in this circulation.  A dict maps a bucket id (walker ×
+    incoming CSR slot for ``recurrence="edge"``, walker × current node for
+    ``"node"``) to the bucket, in one of two tiers:
+
+    * a bucket holding one mark is just that mark: the entry
+      ``-2 - slot`` (``-1`` is the lookup's "no bucket"), with no bitmap;
+    * a bucket holding two or more marks is a handle (``>= 0``) into
+      per-bucket ``base`` / ``count`` / ``size`` / ``key`` arrays, its
+      bitmap a segment of one flat ``bool`` pool.
+
+    Most departures take a fresh edge and most fresh edges are never taken
+    again, so the bitmap is paid for only on a second departure.  One
+    round:
 
     1. draws one uniform per walker and takes the unconstrained pick
        ``min(floor(u * deg), deg - 1)``;
     2. looks up every walker's bucket in one C-level ``dict.get`` pass;
     3. re-picks each walker holding a bucket as the
        ``min(floor(u * r), r - 1)``-th unmarked slot of its row (``r`` =
-       unmarked slots; row order), via a cumsum rank over the flattened
-       bitmaps — the same uniform, so a bucket-free round equals SRW;
-    4. scatters the new marks and counts, drops every completed bucket
-       (a full circulation resets it) and allocates the fresh ones.
+       unmarked slots; row order) with the same uniform, so a bucket-free
+       round equals SRW: via a cumsum rank over the flattened bitmaps, or
+       as ``k + (k >= first)`` in O(1) past a single mark;
+    4. scatters the new marks and counts and drops every completed bucket
+       (a full circulation resets it; a two-slot row completes on its
+       second mark), gives each other second mark's bucket its bitmap, and
+       enters each fresh edge's first mark.
 
     Dead buckets' pool slots are reclaimed by compaction whenever the pool
     must grow while at least half of it is dead, so memory stays
-    proportional to the live buckets.  Slot marks equal neighbor marks only
-    on rows that list no neighbor twice; :meth:`check` refuses any other
-    graph with :class:`VectorizationError`.
+    proportional to the live bitmap buckets.  Slot marks equal neighbor
+    marks only on rows that list no neighbor twice; :meth:`check` refuses
+    any other graph with :class:`VectorizationError`.
     """
 
     name = "cnrw"
@@ -273,13 +291,7 @@ class VectorCNRWKernel(VectorKernel):
         return int(indices.size) + 1 if self.recurrence == "edge" else int(indptr.size) - 1
 
     def check(self, backend: CSRBackend, num_walkers: int) -> None:
-        if not backend.simple_rows:
-            raise VectorizationError(
-                f"backend {backend.name!r} lists a neighbor twice in one row; "
-                "the CNRW vector kernel marks circulation by row slot, which "
-                "needs rows without repeats — dedupe the CSR or use the "
-                "scalar scheduler"
-            )
+        _require_simple_rows(backend, "CNRW vector kernel marks circulation by row slot")
         _require_key_range(num_walkers, self._key_span(backend.indptr, backend.indices))
 
     def begin(self, num_walkers: int) -> None:
@@ -311,12 +323,12 @@ class VectorCNRWKernel(VectorKernel):
         else:
             ids = self._key_base + cur
         buckets = self._buckets
-        handles = np.fromiter(
+        entries = np.fromiter(
             map(buckets.get, ids.tolist(), repeat(-1)), dtype=np.int64, count=n
         )
-        held = np.flatnonzero(handles >= 0)
+        held = np.flatnonzero(entries >= 0)
         if held.size:
-            h = handles[held]
+            h = entries[held]
             size = self._size[h]
             left = size - self._count[h]
             k = np.minimum((u[held] * left).astype(np.int64), left - 1)
@@ -329,9 +341,23 @@ class VectorCNRWKernel(VectorKernel):
                 deque(map(buckets.__delitem__, self._key[done].tolist()), maxlen=0)
                 self._count[done] = 0
                 self._live_slots -= int(self._size[done].sum())
-        fresh = np.flatnonzero((handles < 0) & (degs > 1))
+        single = np.flatnonzero(entries < -1)
+        if single.size:
+            # One mark at row slot `first`: the k-th unmarked slot skips it.
+            first = -2 - entries[single]
+            size = degs[single]
+            k = np.minimum((u[single] * (size - 1)).astype(np.int64), size - 2)
+            picks = k + (k >= first)
+            offsets[single] = picks
+            closed = size == 2
+            if closed.any():
+                deque(map(buckets.__delitem__, ids[single[closed]].tolist()), maxlen=0)
+            grown = ~closed
+            if grown.any():
+                self._allocate(ids[single[grown]], size[grown], first[grown], picks[grown])
+        fresh = np.flatnonzero((entries == -1) & (degs > 1))
         if fresh.size:
-            self._allocate(ids[fresh], degs[fresh], offsets[fresh])
+            buckets.update(zip(ids[fresh].tolist(), (-2 - offsets[fresh]).tolist()))
         slots = starts + offsets
         self._incoming = slots
         return indices[slots]
@@ -348,8 +374,10 @@ class VectorCNRWKernel(VectorKernel):
         free_before = rank[row_start] - free[row_start]
         return local[free & (rank == np.repeat(free_before + k + 1, size))]
 
-    def _allocate(self, ids: np.ndarray, size: np.ndarray, first: np.ndarray) -> None:
-        """Open one bucket per id, each with its first mark at slot ``first``."""
+    def _allocate(
+        self, ids: np.ndarray, size: np.ndarray, first: np.ndarray, second: np.ndarray
+    ) -> None:
+        """Give each single-mark bucket a bitmap holding its two marks."""
         m = ids.size
         need = int(size.sum())
         self._reserve(m, need)
@@ -357,9 +385,10 @@ class VectorCNRWKernel(VectorKernel):
         base = self._used + np.cumsum(size) - size
         self._base[h] = base
         self._size[h] = size
-        self._count[h] = 1
+        self._count[h] = 2
         self._key[h] = ids
         self._marks[base + first] = True
+        self._marks[base + second] = True
         self._buckets.update(zip(ids.tolist(), range(h.start, h.stop)))
         self._handles += m
         self._used += need
@@ -402,9 +431,20 @@ class VectorCNRWKernel(VectorKernel):
         self._key[:m] = self._key[live]
         self._size[:m] = size
         self._base[:m] = base
-        self._buckets = dict(zip(self._key[:m].tolist(), range(m)))
+        # Renumber in place: the single-mark entries have no handle to move.
+        self._buckets.update(zip(self._key[:m].tolist(), range(m)))
         self._handles = m
         self._used = total
+
+
+def _require_simple_rows(backend: CSRBackend, why: str) -> None:
+    """Refuse a backend whose rows list a neighbor twice."""
+    if not backend.simple_rows:
+        raise VectorizationError(
+            f"backend {backend.name!r} lists a neighbor twice in one row; the "
+            f"{why}, which needs rows without repeats — dedupe the CSR or use "
+            "the scalar scheduler"
+        )
 
 
 def _require_key_range(num_walkers: int, span: int) -> None:

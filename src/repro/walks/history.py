@@ -45,15 +45,19 @@ class EdgeHistory:
         """Return (a copy of) the exclusion set ``b(source, current)``."""
         return set(self._visited.get((source, current), set()))
 
-    def remaining(self, source: NodeId, current: NodeId, neighbors) -> List[NodeId]:
+    def remaining(
+        self, source: NodeId, current: NodeId, neighbors: Sequence[NodeId]
+    ) -> Sequence[NodeId]:
         """Return the neighbors of ``current`` not yet attempted after this edge.
 
         The result preserves the order of ``neighbors`` so the caller's
-        uniform choice over it is well-defined and reproducible.
+        uniform choice over it is well-defined and reproducible.  It is the
+        neighbors themselves when nothing is excluded (a fresh edge costs no
+        copy), and a new list otherwise; callers must not mutate it.
         """
         excluded = self._visited.get((source, current))
         if not excluded:
-            return list(neighbors)
+            return neighbors
         return [node for node in neighbors if node not in excluded]
 
     def record(self, source: NodeId, current: NodeId, chosen: NodeId, neighbors) -> bool:
@@ -69,7 +73,9 @@ class EdgeHistory:
         path relies on it.
         """
         key = (source, current)
-        bucket = self._visited.setdefault(key, set())
+        bucket = self._visited.get(key)
+        if bucket is None:
+            bucket = self._visited[key] = set()
         bucket.add(chosen)
         # A reset needs every neighbor in the bucket, which is impossible
         # while the bucket is smaller — skip the set work on the common path.

@@ -311,7 +311,11 @@ class GNRWKernel(TransitionKernel):
 
 
 class NBCNRWKernel(TransitionKernel):
-    """CNRW circulation applied on top of the non-backtracking walk."""
+    """CNRW circulation applied on top of the non-backtracking walk.
+
+    Holds the pending hop's view and NB-filtered neighbors, so :meth:`observe`
+    reuses the list :meth:`choose` built instead of filtering again.
+    """
 
     name = "nbcnrw"
 
@@ -319,9 +323,13 @@ class NBCNRWKernel(TransitionKernel):
         from .history import EdgeHistory
 
         self.history = EdgeHistory()
+        self._pending_view: Optional[NodeView] = None
+        self._pending_allowed = None
 
     def reset(self) -> None:
         self.history.clear()
+        self._pending_view = None
+        self._pending_allowed = None
 
     @staticmethod
     def _allowed(state: WalkState, view: NodeView):
@@ -338,6 +346,8 @@ class NBCNRWKernel(TransitionKernel):
 
     def choose(self, state: WalkState, view: NodeView, rng: np.random.Generator) -> NodeId:
         allowed = self._allowed(state, view)
+        self._pending_view = view
+        self._pending_allowed = allowed
         source = state.previous if state.previous is not None else NO_SOURCE
         candidates = self.history.remaining(source, view.node, allowed)
         if candidates:
@@ -345,5 +355,10 @@ class NBCNRWKernel(TransitionKernel):
         return uniform_choice(rng, allowed)
 
     def observe(self, state: WalkState, target: NodeId, view: NodeView) -> None:
+        allowed = self._pending_allowed
+        if view is not self._pending_view:
+            allowed = self._allowed(state, view)
+        self._pending_view = None
+        self._pending_allowed = None
         source = state.previous if state.previous is not None else NO_SOURCE
-        self.history.record(source, state.current, target, self._allowed(state, view))
+        self.history.record(source, state.current, target, allowed)

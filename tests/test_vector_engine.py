@@ -20,8 +20,9 @@ reference.  What this suite locks down:
 * a differential oracle: the array-native CNRW kernel reproduces, path for
   path, the per-walker dict-of-sets loop it replaced (kept here as
   ``ReferenceCNRWKernel``), with its history pool bounded by the live
-  buckets, its int64 bucket ids guarded against overflow, and CSR rows that
-  repeat a neighbor refused before anything is billed;
+  buckets, a bitmap only for buckets holding two or more marks, its int64
+  bucket ids guarded against overflow, and CSR rows that repeat a neighbor
+  refused (by CNRW and NB-SRW) before anything is billed;
 * every non-SRW vector kernel's visit distribution within a
   total-variation bound of its target (degree-proportional, or uniform for
   MHRW);
@@ -639,6 +640,31 @@ class TestCNRWDifferentialOracle:
         # Completed buckets were reclaimed rather than left to pile up.
         assert len(compactions) >= 2
 
+    @pytest.mark.parametrize("recurrence", ["edge", "node"])
+    def test_only_buckets_with_two_marks_hold_a_bitmap(
+        self, differential_backend, recurrence
+    ):
+        """A bucket's first mark is stored as a slot number, not a bitmap:
+        every round the bitmap buckets are exactly the oracle's open buckets
+        holding two or more marks, and the dict holds all of its buckets."""
+        indptr, indices = differential_backend.indptr, differential_backend.indices
+        starts = differential_backend.to_indices(_live_starts(differential_backend, 50, seed=9))
+        kernel, oracle = VectorCNRWKernel(recurrence), ReferenceCNRWKernel(recurrence)
+        states = [VectorWalkState.place(starts), VectorWalkState.place(starts)]
+        rngs = [lineage_rng(9, "vector"), lineage_rng(9, "vector")]
+        kernel.begin(starts.size)
+        oracle.begin(starts.size)
+        for _ in range(DIFFERENTIAL_STEPS):
+            targets = kernel.advance(states[0], indptr, indices, rngs[0])
+            expected = oracle.advance(states[1], indptr, indices, rngs[1])
+            assert np.array_equal(targets, expected)
+            states[0].advance(targets)
+            states[1].advance(expected)
+            buckets = [bucket for history in oracle.histories for bucket in history.values()]
+            bitmaps = int(np.count_nonzero(kernel._count[: kernel._handles]))
+            assert bitmaps == sum(len(bucket) >= 2 for bucket in buckets)
+            assert len(kernel._buckets) == len(buckets)
+
     def test_bucket_id_overflow_guard(self):
         limit = int(np.iinfo(np.int64).max) + 1
         _require_key_range(2, limit // 2)  # largest id is exactly int64 max
@@ -673,6 +699,13 @@ def _repeated_neighbor_backend() -> CSRBackend:
     return CSRBackend(indptr, indices, name="repeats")
 
 
+def _backtrack_trap_backend() -> CSRBackend:
+    # Node 1 lists node 0 twice; every node has a non-backtracking exit.
+    indptr = np.array([0, 2, 5, 7])
+    indices = np.array([1, 2, 0, 0, 2, 0, 1])
+    return CSRBackend(indptr, indices, name="backtrack-trap")
+
+
 class TestRepeatedNeighborRule:
     def test_builders_produce_simple_rows(self, csr_backend, mmap_backend):
         assert csr_backend.simple_rows
@@ -690,6 +723,29 @@ class TestRepeatedNeighborRule:
         with pytest.raises(VectorizationError, match="neighbor twice"):
             VectorScheduler(api).run(kernel_name, [0, 1], steps=5, seed=1)
         assert api.unique_queries == api.total_queries == 0
+
+    def test_nbsrw_refuses_before_billing(self):
+        api = build_api(_backtrack_trap_backend())
+        with pytest.raises(VectorizationError, match="neighbor twice"):
+            VectorScheduler(api).run("nbsrw", [0, 1], steps=5, seed=1)
+        assert api.unique_queries == api.total_queries == 0
+
+    def test_nbsrw_session_falls_back_and_never_backtracks(self):
+        # Node 1 lists node 0 twice: skipping one slot of it would send
+        # about half the walkers that arrive from 0 straight back.
+        session = SamplingSession(_backtrack_trap_backend()).walker("nbsrw", seed=4)
+        with pytest.warns(UserWarning, match="neighbor twice"):
+            results = session.run_ensemble(
+                200, steps=20, starts=[0] * 200, seed=4, mode="vector"
+            )
+        arrivals = 0
+        for result in results:
+            path = result.path
+            for before, here, after in zip(path, path[1:], path[2:]):
+                if (before, here) == (0, 1):
+                    arrivals += 1
+                    assert after != 0
+        assert arrivals > 0
 
     def test_other_kernels_still_run(self):
         api = build_api(_repeated_neighbor_backend())

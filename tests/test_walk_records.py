@@ -17,7 +17,8 @@ before the loops merged into one.
 
 The second half pins the point of the columnar format: a crawl or an
 ensemble followed by an estimate, and a server-side walk, construct no
-``Sample`` and no ``Transition`` at all.
+``Sample`` and no ``Transition`` at all.  The last section pins that
+NB-CNRW filters the backtracking edge out of a neighborhood once per step.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.server import GraphService
 from repro.server.wire import LeanHeaders
 from repro.types import Sample, Transition
 from repro.walks import make_walker
+from repro.walks.kernels import NBCNRWKernel
 
 KERNELS = ["srw", "mhrw", "nbsrw", "cnrw", "cnrw_node", "nbcnrw", "gnrw_by_degree", "gnrw_by_md5"]
 VECTOR_KERNELS = ["srw", "mhrw", "nbsrw", "cnrw"]
@@ -370,3 +372,42 @@ class TestEstimatorReadsRecords:
         direct = session.estimate(self.QUERIES[query], uniform_samples=uniform)
         pooled = [sample for result in results for sample in result.samples]
         assert direct == estimate(pooled, self.QUERIES[query], uniform_samples=uniform)
+
+
+# ----------------------------------------------------------------------
+# NB-CNRW filters the backtracking edge once per step
+# ----------------------------------------------------------------------
+@pytest.fixture
+def nb_filters(monkeypatch):
+    """Count ``NBCNRWKernel._allowed`` calls while a test runs."""
+    calls = []
+    original = NBCNRWKernel._allowed
+
+    def counting(state, view):
+        calls.append(view.node)
+        return original(state, view)
+
+    monkeypatch.setattr(NBCNRWKernel, "_allowed", staticmethod(counting))
+    return calls
+
+
+class TestNBCNRWFiltersOncePerStep:
+    def test_crawl(self, graph, nb_filters):
+        walker = make_walker("nbcnrw", api=build_api(graph), seed=11)
+        result = walker.run(graph.nodes()[5], max_steps=200)
+        assert result.steps == 200
+        assert len(nb_filters) == 200
+
+    def test_schedule(self, graph, nb_filters):
+        api = build_api(graph)
+        walkers = [make_walker("nbcnrw", api=api, seed=seed) for seed in range(16)]
+        starts = [graph.nodes()[i] for i in range(16)]
+        results = WalkScheduler(api).run(walkers, starts, steps=50)
+        assert sum(result.steps for result in results) == 16 * 50
+        assert len(nb_filters) == 16 * 50
+
+    @pytest.mark.parametrize("name", [case for case in CASES if case.endswith("/nbcnrw")])
+    def test_pinned_cases(self, graph, nb_filters, name):
+        results = build_case(graph, name)
+        assert result_crc(results) == PINS[name]
+        assert len(nb_filters) == sum(result.steps for result in results)
