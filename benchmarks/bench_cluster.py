@@ -30,6 +30,10 @@ must still be bit-identical, but the wall-clock bound relaxes to the
 serialised budget (mirroring ``bench_engine``'s reduced-scale policy: a
 bound the hardware cannot express is noise, not signal).
 
+Both ``cluster.*`` rows also record ``route_us``, the time one
+``ShardedBackend.shards_of`` route takes over a fixed id set, with no floor:
+it is the client's per-node routing cost, tracked for the trajectory.
+
 Set ``REPRO_BENCH_SCALE`` < 1 (e.g. 0.25) for a quick smoke run.
 """
 
@@ -73,6 +77,8 @@ _CONCURRENT_HOST = (os.cpu_count() or 1) >= NUM_SHARDS + 1
 REQUIRED_MAX_RATIO = MAX_CLUSTER_SLOWDOWN if _CONCURRENT_HOST else MAX_SERIALIZED_SLOWDOWN
 #: Every kernel of the conformance suite must walk the cluster identically.
 KERNEL_NAMES = ("srw", "mhrw", "nbsrw", "cnrw", "nbcnrw", "gnrw_by_degree")
+#: The fixed ids whose routes ``route_us`` times.
+ROUTE_IDS = range(10_000)
 
 
 def _synthetic_edges(num_nodes: int, out_degree: int, seed: int = 0) -> np.ndarray:
@@ -90,6 +96,17 @@ def _best_of(function, *args, repeats=3):
         result = function(*args)
         times.append(time.perf_counter() - started)
     return min(times), result
+
+
+def _route_us(cluster: ShardedBackend, passes: int = 5) -> float:
+    """Median over ``passes`` of the mean µs per ``shards_of`` on ROUTE_IDS."""
+    samples = []
+    for _ in range(passes):
+        started = time.perf_counter()
+        for node in ROUTE_IDS:
+            cluster.shards_of(node)
+        samples.append((time.perf_counter() - started) * 1e6 / len(ROUTE_IDS))
+    return float(np.median(samples))
 
 
 def _boot_serve(source) -> tuple:
@@ -204,6 +221,8 @@ def test_sharded_within_bound_of_single_server(cluster_dir, shard_urls, single_u
 
     single_seconds, _ = _best_of(_single_ensemble, single_url)
     sharded_seconds, _ = _best_of(_sharded_ensemble, cluster_dir, shard_urls)
+    with _sharded_backend(cluster_dir, shard_urls) as cluster:
+        route_us = _route_us(cluster)
     ratio = sharded_seconds / single_seconds
     print(
         f"\n{NUM_WALKERS}-walker x {WALK_STEPS}-step CNRW ensemble over "
@@ -220,6 +239,7 @@ def test_sharded_within_bound_of_single_server(cluster_dir, shard_urls, single_u
         cpus=os.cpu_count(),
         single_seconds=single_seconds,
         sharded_seconds=sharded_seconds,
+        route_us=route_us,
         ratio=ratio,
         max_ratio=REQUIRED_MAX_RATIO,
         concurrent_host=_CONCURRENT_HOST,
@@ -286,6 +306,8 @@ def test_replicated_within_bound_of_unreplicated(
     replicated_seconds, _ = _best_of(
         _replicated_ensemble, replicated_dir, replicated_urls
     )
+    with _replicated_backend(replicated_dir, replicated_urls) as cluster:
+        route_us = _route_us(cluster)
     ratio = replicated_seconds / sharded_seconds
     print(
         f"\n{NUM_WALKERS}-walker x {WALK_STEPS}-step CNRW ensemble over "
@@ -304,6 +326,7 @@ def test_replicated_within_bound_of_unreplicated(
         cpus=os.cpu_count(),
         sharded_seconds=sharded_seconds,
         replicated_seconds=replicated_seconds,
+        route_us=route_us,
         ratio=ratio,
         max_ratio=REQUIRED_MAX_RATIO,
         concurrent_host=_CONCURRENT_HOST,

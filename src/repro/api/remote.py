@@ -110,6 +110,10 @@ def _coerce_id(value):
     )
 
 
+#: The one request-body encoder: ``json.dumps`` with keyword arguments builds
+#: a fresh encoder on every call; this one encodes the same bytes.
+_WIRE_JSON = json.JSONEncoder(default=_coerce_id)
+
 _SCALAR_ID_TYPES = (str, int, float, bool, type(None), np.integer)
 
 
@@ -137,7 +141,7 @@ def encode_node_id(node: NodeId) -> str:
     """
     _require_scalar_id(node)
     try:
-        encoded = json.dumps(node, default=_coerce_id)
+        encoded = _WIRE_JSON.encode(node)
     except (TypeError, ValueError) as exc:
         raise RemoteBackendError(
             f"node id {node!r} cannot travel over the wire: {exc}"
@@ -725,7 +729,7 @@ class HTTPGraphBackend(GraphBackend):
         for node in order:
             _require_scalar_id(node)
         try:
-            body = json.dumps({"nodes": order}, default=_coerce_id).encode("utf-8")
+            body = _WIRE_JSON.encode({"nodes": order}).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise RemoteBackendError(
                 f"batch contains a node id that cannot travel over the wire: {exc}"
@@ -809,7 +813,7 @@ class HTTPGraphBackend(GraphBackend):
         if thinning != 1:
             request["thinning"] = thinning
         try:
-            body = json.dumps(request, default=_coerce_id).encode("utf-8")
+            body = _WIRE_JSON.encode(request).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise RemoteBackendError(
                 f"walk request cannot travel over the wire: {exc}"

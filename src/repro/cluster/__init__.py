@@ -31,7 +31,6 @@ sharded cluster *bit-identically* to a local run — the conformance suite in
 from .backend import (
     CLUSTER_URL_SCHEME,
     DEFAULT_FAILOVER_COOLDOWN,
-    DEFAULT_ROUTE_CACHE,
     ShardedBackend,
     cluster_from_urls,
     load_cluster,
@@ -64,7 +63,6 @@ __all__ = [
     "CLUSTER_URL_SCHEME",
     "CLUSTER_VERSION",
     "DEFAULT_FAILOVER_COOLDOWN",
-    "DEFAULT_ROUTE_CACHE",
     "DEFAULT_VNODES",
     "HashRing",
     "SHARD_FORMAT",

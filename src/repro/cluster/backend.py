@@ -3,7 +3,8 @@
 :class:`ShardedBackend` presents N shard backends — usually
 :class:`~repro.api.remote.HTTPGraphBackend` clients driving N ``serve``
 processes, but any :class:`~repro.api.backend.GraphBackend` works — as one
-backend: ``fetch`` routes by ring lookup (memoised per node), ``fetch_many``
+backend: ``fetch`` routes by ring lookup (a hash and one table index, see
+:class:`~repro.cluster.partition.HashRing`), ``fetch_many``
 splits a batch into per-shard sub-batches and re-merges them in request
 order, and ``metadata`` / ``contains`` / ``node_ids`` / ``sample_node``
 federate across the shards.  HTTP shards are *pipelined*: every sub-batch is
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import defaultdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -67,16 +69,23 @@ CLUSTER_URL_SCHEME = "cluster://"
 #: failover schedule of a replayed workload is reproducible.
 DEFAULT_FAILOVER_COOLDOWN = 1.0
 
-#: Bound on the node -> replica-set route memo (same bounded-FIFO discipline
-#: as the warehouse decoded-record cache).  Covers the hot set of any
-#: realistic walk while keeping a 1M-node crawl from growing the memo into a
-#: silent memory leak.
-DEFAULT_ROUTE_CACHE = 262_144
-
 
 def _raise(error: Exception):
     """Re-raise a failure captured when a shard's sub-batch was started."""
     raise error
+
+
+def _published(backend: GraphBackend, key: str):
+    """The ``key`` a shard publishes: its ``GET /info`` field when it has an
+    ``info()`` (an HTTP client), else its attribute (an in-process slice).
+    ``None`` when the shard is unreachable or publishes no such field."""
+    info = getattr(backend, "info", None)
+    if callable(info):
+        try:
+            return info().get(key)
+        except Exception:
+            return None  # unreachable shard: failover handles it later
+    return getattr(backend, key, None)
 
 
 def _in_span(tracer, span, call, argument):
@@ -103,13 +112,13 @@ class ShardedBackend(GraphBackend):
             compares it against what reachable shards publish.
         failover_cooldown: Seconds a failed shard stays deprioritised before
             the next read probes it again.
-        route_cache: Bound on the node -> replica-set route memo.
         clock: Monotonic time source (injectable for tests).
 
     The cluster is treated as immutable for the lifetime of the backend
     (like every other backend): per-shard sizes and the federated node-id
-    table are fetched once and cached.  ``close()`` closes every shard
-    backend; the class is a context manager.
+    table are fetched once and cached.  ``len()`` is the sum of the
+    ``primary`` counts every shard publishes, when all of them do.
+    ``close()`` closes every shard backend; the class is a context manager.
     """
 
     def __init__(
@@ -121,7 +130,6 @@ class ShardedBackend(GraphBackend):
         replicas: int = 1,
         expected_epoch: Optional[int] = None,
         failover_cooldown: float = DEFAULT_FAILOVER_COOLDOWN,
-        route_cache: int = DEFAULT_ROUTE_CACHE,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not shards:
@@ -146,12 +154,6 @@ class ShardedBackend(GraphBackend):
         ]
         self._sizes: Optional[List[int]] = None
         self._node_ids: Optional[List[NodeId]] = None
-        # Ring lookups hash the JSON-encoded id; walks revisit nodes heavily,
-        # so memoising node -> replica set turns the per-batch routing cost
-        # into a dict probe.  Unhashable ids can't be cached (they can't be
-        # fetched either — the ring raises its typed error for them).
-        self._route_cache: Dict[NodeId, Tuple[int, ...]] = {}
-        self._route_cap = max(1, int(route_cache))
         # Failover health: shard -> clock() when it was marked dead.  A dead
         # shard is deprioritised (never hard-excluded) until the cool-down
         # expires, then the next read probes it again.
@@ -174,24 +176,12 @@ class ShardedBackend(GraphBackend):
         return list(self._shards)
 
     def shard_of(self, node: NodeId) -> int:
-        """Return the primary shard the ring routes ``node`` to (memoised)."""
+        """Return the primary shard the ring routes ``node`` to."""
         return self.shards_of(node)[0]
 
     def shards_of(self, node: NodeId) -> Tuple[int, ...]:
-        """The replica set serving ``node``, primary first (memoised)."""
-        try:
-            route = self._route_cache.get(node)
-        except TypeError:
-            # Unhashable id: can't memoise; the ring raises its typed error.
-            return self._ring.shards_of(node, self.replicas)
-        if route is None:
-            route = self._ring.shards_of(node, self.replicas)
-            # Bounded FIFO eviction, the warehouse record-cache discipline:
-            # cheap and lock-free under the GIL.
-            if len(self._route_cache) >= self._route_cap:
-                self._route_cache.pop(next(iter(self._route_cache)), None)
-            self._route_cache[node] = route
-        return route
+        """The replica set serving ``node``, primary first."""
+        return self._ring.shards_of(node, self.replicas)
 
     def _shard_error(self, shard: int, error: Exception, doing: str) -> ShardError:
         return ShardError(
@@ -230,17 +220,25 @@ class ShardedBackend(GraphBackend):
             shard for shard in list(self._dead_at) if not self._is_live(shard)
         )
 
-    def _pick_shard(self, node: NodeId, tried=()) -> Optional[int]:
-        """Choose the replica that serves this read of ``node``.
+    def _pick_shard(self, route: Tuple[int, ...], tried=()) -> Optional[int]:
+        """Choose the replica of ``route`` that serves this read.
 
         Untried live replicas are preferred and rotated round-robin to
         spread read load.  A shard inside its cool-down is deprioritised but
         never hard-excluded: if every untried replica is marked dead the
         read still probes one, so stale health state cannot wedge a range.
         Returns ``None`` once every replica was tried this call (the caller
-        raises the attributed failure).
+        raises the attributed failure).  With no shard marked dead and
+        nothing tried — every read of a healthy cluster — the choice is one
+        index, ``route[cursor % len(route)]``, with no candidate lists.
         """
-        candidates = [s for s in self.shards_of(node) if s not in tried]
+        if not tried and not self._dead_at:
+            if len(route) == 1:
+                return route[0]
+            choice = route[self._rr % len(route)]
+            self._rr += 1
+            return choice
+        candidates = [s for s in route if s not in tried]
         if not candidates:
             return None
         if len(candidates) == 1:
@@ -279,11 +277,12 @@ class ShardedBackend(GraphBackend):
         whose tags record every replica tried, in order.
         """
         with obs.maybe_span("cluster.read", kind="shard", op=doing) as span:
+            route = self.shards_of(node)
             tried: Set[int] = set()
             attempts: List[str] = []
             last: Optional[ShardError] = None
             while True:
-                shard = self._pick_shard(node, tried)
+                shard = self._pick_shard(route, tried)
                 if shard is None:
                     if span is not None:
                         span.tags["replicas_tried"] = attempts
@@ -345,16 +344,18 @@ class ShardedBackend(GraphBackend):
         doing = f"fetch_many({len(order)} nodes)"
         miss: Optional[NodeNotFoundError] = None
         last: Optional[ShardError] = None
+        route_of, pick = self._ring.shards_of, self._pick_shard
+        replicas = self.replicas
         while pending:
-            sub_positions: Dict[int, List[int]] = {}
+            sub_positions: Dict[int, List[int]] = defaultdict(list)
             for position in pending:
                 node = order[position]
-                shard = self._pick_shard(node, tried.get(position, ()))
+                shard = pick(route_of(node, replicas), tried.get(position, ()))
                 if shard is None:
                     raise self._replicas_exhausted(
                         node, tried.get(position, set()), last, doing
                     )
-                sub_positions.setdefault(shard, []).append(position)
+                sub_positions[shard].append(position)
             pending = []
             for shard, positions, shard_records, error in self._dispatch(
                 sub_positions, order
@@ -451,6 +452,11 @@ class ShardedBackend(GraphBackend):
         return nodes[int(rng.integers(0, len(nodes)))]
 
     def __len__(self) -> int:
+        # Every node has exactly one primary shard, so the published primary
+        # counts sum to the node count without downloading any id table.
+        primaries = [_published(backend, "primary") for backend in self._shards]
+        if all(type(count) is int for count in primaries):
+            return sum(primaries)
         if self.replicas == 1:
             return sum(self._shard_sizes())
         return len(self._all_node_ids())
@@ -522,14 +528,7 @@ class ShardedBackend(GraphBackend):
         if expected is None:
             return
         for shard, backend in enumerate(self._shards):
-            info = getattr(backend, "info", None)
-            if callable(info):
-                try:
-                    published = info().get("epoch")
-                except Exception:
-                    continue  # unreachable shard: failover handles it later
-            else:
-                published = getattr(backend, "epoch", None)
+            published = _published(backend, "epoch")
             if published is not None and int(published) != expected:
                 raise StaleManifestError(
                     f"shard {shard} ({self._labels[shard]}) serves membership "
@@ -695,7 +694,7 @@ def cluster_from_urls(
     shard slice republishes both).  Pass ``replicas`` explicitly to skip
     the probe; a ``replicas=1`` client against a replicated layout still
     routes correctly — every primary stores its nodes — it just never
-    fails over and enumerates each node once per copy.
+    fails over and ``node_ids()`` enumerates each node once per copy.
     """
     from ..api.remote import HTTPGraphBackend
 

@@ -69,9 +69,18 @@ RING_ALGORITHM = "consistent-hash-blake2b64"
 DEFAULT_VNODES = 64
 
 
-def _hash64(data: bytes) -> int:
-    """A stable 64-bit hash (big-endian blake2b-8 digest)."""
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+def _hash64(data: bytes) -> bytes:
+    """A stable 64-bit hash: the 8-byte blake2b digest, kept as bytes.
+
+    Equal-length big-endian digests compare as bytes exactly as their
+    integer values do, so the ring sorts and bisects them as they are.
+    """
+    return hashlib.blake2b(data, digest_size=8).digest()
+
+
+#: The canonical id encoder, built once: ``json.dumps`` with keyword
+#: arguments builds a fresh encoder on every call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def node_key(node: NodeId) -> bytes:
@@ -80,15 +89,19 @@ def node_key(node: NodeId) -> bytes:
     JSON keeps ``5`` and ``"5"`` distinct (the same property the HTTP wire
     relies on) and is identical across processes, so the same node always
     lands on the same shard no matter which client computes the route.
+    Plain and numpy integers take a shortcut: their decimal digits are
+    exactly the bytes canonical JSON gives them.
     """
     try:
+        if type(node) is int:
+            return str(node).encode("ascii")
         if isinstance(node, np.integer):
-            node = int(node)
-        return json.dumps(node, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            return str(int(node)).encode("ascii")
+        return _CANONICAL_JSON.encode(node).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ClusterError(
-            f"node id {node!r} cannot be routed: consistent hashing requires "
-            f"a JSON-representable id ({exc})"
+            f"a node id of type {type(node).__name__} cannot be routed: "
+            f"consistent hashing requires a JSON-representable id ({exc})"
         ) from exc
 
 
@@ -100,6 +113,12 @@ class HashRing:
     (wrapping at the top).  Two rings built from the same ``(shards,
     vnodes)`` pair produce identical routes forever — the property the
     on-disk partition layout depends on.
+
+    The replica set a ring point leads to depends only on the point, so the
+    ring builds, once per replica factor ``k``, a table holding every
+    point's replica tuple; a route is then a hash, a ``bisect`` and one
+    index into that table, and every node behind the same point shares one
+    tuple.
     """
 
     def __init__(self, shards: int, vnodes: int = DEFAULT_VNODES) -> None:
@@ -116,13 +135,13 @@ class HashRing:
         )
         self._hashes = [point for point, _ in points]
         self._owners = [owner for _, owner in points]
+        # k -> replica tuple per bisect position (one extra entry for the
+        # position past the top point, which wraps to the first).
+        self._tables: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
     def shard_of(self, node: NodeId) -> int:
         """Return the shard index owning ``node``."""
-        position = bisect.bisect_right(self._hashes, _hash64(node_key(node)))
-        if position == len(self._hashes):
-            position = 0  # wrap past the top of the ring
-        return self._owners[position]
+        return self.shards_of(node, 1)[0]
 
     def shards_of(self, node: NodeId, k: int) -> Tuple[int, ...]:
         """Return the ``k`` distinct shards holding ``node``'s replicas.
@@ -132,24 +151,39 @@ class HashRing:
         always the primary — and continues clockwise, collecting each *new*
         shard it meets until ``k`` distinct physical shards are found.
         Successor placement keeps repartitioning cheap: adding a shard only
-        reassigns the ring ranges adjacent to its new points.
+        reassigns the ring ranges adjacent to its new points.  The returned
+        tuple is shared by every node routed through the same ring point.
         """
+        table = self._tables.get(k)
+        if table is None:
+            table = self._build_table(k)
+        return table[bisect.bisect_right(self._hashes, _hash64(node_key(node)))]
+
+    def _build_table(self, k: int) -> Tuple[Tuple[int, ...], ...]:
+        """Walk the ring once from every point, collecting ``k`` owners."""
         if k < 1:
             raise ClusterError(f"replicas must be at least 1 (got {k})")
         if k > self.shards:
             raise ClusterError(
                 f"cannot place {k} replicas on {self.shards} distinct shards"
             )
-        position = bisect.bisect_right(self._hashes, _hash64(node_key(node)))
         points = len(self._owners)
-        owners: List[int] = []
-        for offset in range(points):
-            owner = self._owners[(position + offset) % points]
-            if owner not in owners:
-                owners.append(owner)
-                if len(owners) == k:
-                    break
-        return tuple(owners)
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        rows: List[Tuple[int, ...]] = []
+        for position in range(points):
+            owners: List[int] = []
+            for offset in range(points):
+                owner = self._owners[(position + offset) % points]
+                if owner not in owners:
+                    owners.append(owner)
+                    if len(owners) == k:
+                        break
+            route = tuple(owners)
+            rows.append(shared.setdefault(route, route))
+        rows.append(rows[0])  # past the top point: wrap to the first
+        table = tuple(rows)
+        self._tables[k] = table
+        return table
 
     def spec(self) -> Dict[str, Any]:
         """The JSON-able ring description persisted in cluster manifests."""
@@ -192,10 +226,11 @@ class ShardSliceBackend(GraphBackend):
     fails loudly with :class:`~repro.exceptions.NodeNotFoundError` instead of
     returning a boundary node's (empty, wrong) adjacency.
 
-    ``epoch`` / ``replicas`` mirror the ``shard.json`` sidecar (``None`` /
-    ``1`` for pre-replication sidecars); the server republishes the epoch on
-    ``GET /info`` so cluster clients can detect a stale manifest after a
-    :func:`repartition`.
+    ``epoch`` / ``replicas`` / ``primary`` mirror the ``shard.json`` sidecar
+    (``None`` / ``1`` / ``None`` for sidecars that predate them); the server
+    republishes them on ``GET /info``, so cluster clients can detect a stale
+    manifest after a :func:`repartition` and count the cluster's nodes as the
+    sum of its shards' ``primary`` counts.
     """
 
     def __init__(
@@ -208,6 +243,7 @@ class ShardSliceBackend(GraphBackend):
         name: Optional[str] = None,
         replicas: int = 1,
         epoch: Optional[int] = None,
+        primary: Optional[int] = None,
     ) -> None:
         if not 0 <= owned_count <= len(inner):
             raise ClusterError(
@@ -221,6 +257,7 @@ class ShardSliceBackend(GraphBackend):
         self.shards = int(shards)
         self.replicas = int(replicas)
         self.epoch = None if epoch is None else int(epoch)
+        self.primary = None if primary is None else int(primary)
         self.name = name or f"shard{shard}/{shards}:{inner.name}"
 
     @property
@@ -713,4 +750,5 @@ def load_shard(directory: PathLike) -> ShardSliceBackend:
         name=sidecar.get("name"),
         replicas=int(sidecar.get("replicas", 1)),
         epoch=None if epoch is None else int(epoch),
+        primary=sidecar.get("primary"),
     )

@@ -341,8 +341,9 @@ class GraphService:
         # Replay-backed servers publish the dump's recorded start so a remote
         # client can restart the recorded crawl without pulling the whole id
         # table; shard slices publish their membership epoch and replica spec
-        # so cluster clients can detect a stale manifest after a repartition.
-        for key in ("recorded_start", "epoch", "shard", "replicas"):
+        # so cluster clients can detect a stale manifest after a repartition,
+        # and their primary count so a cluster's len() needs no id tables.
+        for key in ("recorded_start", "epoch", "shard", "replicas", "primary"):
             value = getattr(backend, key, None)
             if value is not None:
                 descriptor["start" if key == "recorded_start" else key] = value

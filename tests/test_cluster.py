@@ -709,6 +709,34 @@ class TestFailover:
             assert cluster.replicas == 1
             assert cluster.expected_epoch is None
 
+    def test_len_sums_published_primary_counts(
+        self, replicated_servers, reference
+    ):
+        """Every shard publishes its primary count on `/info`, so `len()`
+        of a replicated cluster downloads no id table."""
+        for server in replicated_servers:
+            server.service.reset_stats()
+        with cluster_from_urls([s.url for s in replicated_servers]) as cluster:
+            assert len(cluster) == len(reference)
+        for server in replicated_servers:
+            endpoints = server.service.stats_payload()["endpoints"]
+            assert endpoints.get("/node-ids", 0) == 0
+
+    def test_len_falls_back_to_enumeration_with_a_dead_shard(
+        self, replicated_dir, replicated_servers, reference
+    ):
+        replicated_servers[1].close()
+        with self._cluster(
+            replicated_dir, replicated_servers, retries=0
+        ) as cluster:
+            assert len(cluster) == len(reference)
+            assert 1 in cluster.dead_shards
+        survivors = [replicated_servers[0], replicated_servers[2]]
+        assert all(
+            s.service.stats_payload()["endpoints"].get("/node-ids") == 1
+            for s in survivors
+        )
+
     def test_total_outage_raises_an_attributed_error(
         self, replicated_dir, replicated_servers, reference
     ):
@@ -856,7 +884,7 @@ class TestFailover:
 
 
 # ----------------------------------------------------------------------
-# Satellites: best-effort close, bounded route cache, aborted-batch drain
+# Satellites: best-effort close, call-order-free routes, aborted-batch drain
 # ----------------------------------------------------------------------
 class TestCloseAndCaches:
     def test_close_is_best_effort_across_shards(self):
@@ -885,20 +913,22 @@ class TestCloseAndCaches:
             cluster.close()  # first error re-raised, but every shard closed
         assert all(shard.closed for shard in shards)
 
-    def test_route_cache_is_bounded(self, cluster_dir):
+    def test_equal_ids_that_encode_differently_route_by_their_own_key(
+        self, cluster_dir
+    ):
+        """``1.0 == 1`` and ``0 == False`` but their JSON keys differ, so the
+        ring may route them apart; asking for one first must not change the
+        answer for the other."""
+        ring = HashRing(3)
+        assert ring.shards_of(1, 1) != ring.shards_of(1.0, 1)
+        assert ring.shards_of(0, 1) != ring.shards_of(False, 1)
         backends = [
             load_shard(cluster_dir / f"shard-{shard:02d}") for shard in range(3)
         ]
-        cluster = ShardedBackend(backends, HashRing(3), route_cache=8)
-        try:
-            for node in range(100):
-                cluster.shard_of(node)
-            assert len(cluster._route_cache) <= 8
-            # Resident routes are served from the cache (same tuple object).
-            route = cluster.shards_of(99)
-            assert cluster.shards_of(99) is route
-        finally:
-            cluster.close()
+        with ShardedBackend(backends, ring) as cluster:
+            for first, second in ((1.0, 1), (1, 1.0), (0, False), (False, 0)):
+                cluster.shards_of(first)
+                assert cluster.shards_of(second) == ring.shards_of(second, 1)
 
 
 class TestAbortedBatchDrain:
