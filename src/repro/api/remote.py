@@ -66,6 +66,7 @@ from ..exceptions import (
     RateLimitExceededError,
     RemoteBackendError,
     ReplayMissError,
+    format_node_id,
 )
 from .. import obs
 from ..obs import TRACE_HEADER, format_trace_header
@@ -126,7 +127,7 @@ def _require_scalar_id(node: NodeId) -> None:
     """
     if not isinstance(node, _SCALAR_ID_TYPES):
         raise RemoteBackendError(
-            f"node id {node!r} cannot travel over the wire: only scalar "
+            f"node id {format_node_id(node)} cannot travel over the wire: only scalar "
             f"JSON values (str, int, float, bool, null) survive the round "
             f"trip, not {type(node).__name__}"
         )
@@ -144,7 +145,7 @@ def encode_node_id(node: NodeId) -> str:
         encoded = _WIRE_JSON.encode(node)
     except (TypeError, ValueError) as exc:
         raise RemoteBackendError(
-            f"node id {node!r} cannot travel over the wire: {exc}"
+            f"node id {format_node_id(node)} cannot travel over the wire: {exc}"
         ) from exc
     return urllib.parse.quote(encoded, safe="")
 

@@ -49,6 +49,7 @@ from ..exceptions import (
     NodeNotFoundError,
     ShardError,
     StaleManifestError,
+    format_node_id,
 )
 from ..types import NodeId
 from .partition import (
@@ -256,7 +257,7 @@ class ShardedBackend(GraphBackend):
             return last  # unreplicated: identical to the single-shard error
         where = ", ".join(f"{s} ({self._labels[s]})" for s in sorted(tried))
         error = ShardError(
-            f"every replica of node {node!r} is down during {doing} "
+            f"every replica of node {format_node_id(node)} is down during {doing} "
             f"(tried shards {where})",
             shard=last.shard if last is not None else None,
             url=last.url if last is not None else None,
@@ -314,17 +315,17 @@ class ShardedBackend(GraphBackend):
 
     def fetch(self, node: NodeId) -> RawRecord:
         return self._read(
-            node, f"fetch({node!r})", lambda backend: backend.fetch(node)
+            node, f"fetch({format_node_id(node)})", lambda backend: backend.fetch(node)
         )
 
     def contains(self, node: NodeId) -> bool:
         return self._read(
-            node, f"contains({node!r})", lambda backend: backend.contains(node)
+            node, f"contains({format_node_id(node)})", lambda backend: backend.contains(node)
         )
 
     def metadata(self, node: NodeId) -> Optional[Dict[str, Any]]:
         return self._read(
-            node, f"metadata({node!r})", lambda backend: backend.metadata(node)
+            node, f"metadata({format_node_id(node)})", lambda backend: backend.metadata(node)
         )
 
     def fetch_many(self, nodes: Sequence[NodeId]) -> List[RawRecord]:

@@ -54,6 +54,7 @@ from ..exceptions import (
     InvalidConfigurationError,
     InvalidStartNodeError,
     QueryBudgetExceededError,
+    format_node_id,
 )
 from ..types import NodeId
 from ..walks.base import (
@@ -288,7 +289,8 @@ class WalkScheduler:
                     if not view.neighbors:
                         if self.policy.on_dead_end == "raise":  # only start nodes get here
                             raise InvalidStartNodeError(
-                                f"start node {node!r} has no neighbors; walks require degree >= 1"
+                                f"start node {format_node_id(node)} has no neighbors; "
+                                f"walks require degree >= 1"
                             )
                         self._handle_dead_end(lane)
                         continue

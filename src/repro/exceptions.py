@@ -8,6 +8,22 @@ to distinguish the individual failure modes.
 from __future__ import annotations
 
 
+def format_node_id(node) -> str:
+    """``repr(node)`` for an error message; never raises.
+
+    An int past the interpreter's int-to-str digit limit (4300 digits by
+    default) has no ``repr``; it is named by its bit length instead (any
+    other id whose ``repr`` fails, by its type), so the error being built
+    is the one that reaches the caller.
+    """
+    try:
+        return repr(node)
+    except Exception:
+        if isinstance(node, int):
+            return f"<int of {node.bit_length()} bits>"
+        return f"<{type(node).__name__} id>"
+
+
 class ReproError(Exception):
     """Base class for all exceptions raised by the ``repro`` library."""
 
@@ -20,7 +36,7 @@ class NodeNotFoundError(GraphError, KeyError):
     """Raised when a node id is not present in a graph."""
 
     def __init__(self, node):
-        super().__init__(f"node {node!r} is not in the graph")
+        super().__init__(f"node {format_node_id(node)} is not in the graph")
         self.node = node
 
     def __str__(self) -> str:
@@ -39,7 +55,7 @@ class EdgeNotFoundError(GraphError, KeyError):
     """Raised when an edge is not present in a graph."""
 
     def __init__(self, u, v):
-        super().__init__(f"edge ({u!r}, {v!r}) is not in the graph")
+        super().__init__(f"edge ({format_node_id(u)}, {format_node_id(v)}) is not in the graph")
         self.u = u
         self.v = v
 
@@ -62,7 +78,7 @@ class AttributeNotFoundError(GraphError, KeyError):
     """Raised when a node attribute requested by name does not exist."""
 
     def __init__(self, node, attribute):
-        super().__init__(f"node {node!r} has no attribute {attribute!r}")
+        super().__init__(f"node {format_node_id(node)} has no attribute {attribute!r}")
         self.node = node
         self.attribute = attribute
 
@@ -98,7 +114,7 @@ class ReplayMissError(NodeNotFoundError, StorageError):
     """
 
     def __init__(self, node, source=None):
-        detail = f"node {node!r} was never fetched in the recorded crawl"
+        detail = f"node {format_node_id(node)} was never fetched in the recorded crawl"
         if source is not None:
             detail += f" (dump: {source})"
         Exception.__init__(self, detail)
@@ -134,7 +150,7 @@ class IngestConflictError(WarehouseError):
     """
 
     def __init__(self, node, detail, source=None):
-        message = f"crawl conflict on node {node!r}: {detail}"
+        message = f"crawl conflict on node {format_node_id(node)}: {detail}"
         if source is not None:
             message += f" (ingesting {source})"
         super().__init__(message)
@@ -282,7 +298,7 @@ class DeadEndError(WalkError):
     """Raised when a walk reaches a node with no neighbors."""
 
     def __init__(self, node):
-        super().__init__(f"walk reached dead-end node {node!r} with no neighbors")
+        super().__init__(f"walk reached dead-end node {format_node_id(node)} with no neighbors")
         self.node = node
 
 

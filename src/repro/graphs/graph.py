@@ -22,6 +22,7 @@ from ..exceptions import (
     EdgeNotFoundError,
     EmptyGraphError,
     NodeNotFoundError,
+    format_node_id,
 )
 from ..types import Edge, NodeId
 
@@ -68,7 +69,7 @@ class Graph:
         stationary-distribution analysis assume a simple graph.
         """
         if u == v:
-            raise ValueError(f"self-loops are not allowed (node {u!r})")
+            raise ValueError(f"self-loops are not allowed (node {format_node_id(u)})")
         self.add_node(u)
         self.add_node(v)
         if v not in self._adjacency[u]:

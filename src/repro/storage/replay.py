@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..api.backend import GraphBackend, RawRecord, as_backend
 from ..api.remote import record_from_wire, record_to_wire
-from ..exceptions import CrawlDumpError, RemoteBackendError, ReplayMissError
+from ..exceptions import CrawlDumpError, RemoteBackendError, ReplayMissError, format_node_id
 from ..graphs.loaders import open_text
 from ..types import NodeId
 
@@ -186,7 +186,7 @@ def dump_crawl(
         # graph service serves the same objects, so dump and wire formats
         # cannot drift apart.
         line = record_to_wire(record)
-        encoded_lines.append(encode(line, f"record for node {record.node!r}"))
+        encoded_lines.append(encode(line, f"record for node {format_node_id(record.node)}"))
     # Boundary neighbors: nodes the crawl saw listed but never fetched.
     # Samplers consult their free profile summaries through peek_metadata
     # (MHRW degrees, GNRW grouping), so the dump must carry them for a

@@ -36,7 +36,12 @@ from typing import Dict, Iterator, List, Optional
 from ..api.budget import QueryBudget
 from ..api.interface import NodeView, SocialNetworkAPI
 from ..api.middleware import resolve_attribute
-from ..exceptions import DeadEndError, InvalidStartNodeError, QueryBudgetExceededError
+from ..exceptions import (
+    DeadEndError,
+    InvalidStartNodeError,
+    QueryBudgetExceededError,
+    format_node_id,
+)
 from ..rng import SeedLike, make_rng
 from ..types import NodeId, Sample, SampleRecord, Transition
 from .kernels import TransitionKernel, WalkState
@@ -205,7 +210,7 @@ class RandomWalk:
         """
         if view.degree == 0:
             raise InvalidStartNodeError(
-                f"start node {node!r} has no neighbors; walks require degree >= 1"
+                f"start node {format_node_id(node)} has no neighbors; walks require degree >= 1"
             )
         self._state.place(node)
         return view

@@ -58,9 +58,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .. import obs
 from ..api.backend import GraphBackend, RawRecord, as_backend
-from ..exceptions import IngestConflictError, WarehouseError
+from ..exceptions import IngestConflictError, WarehouseError, format_node_id
 from ..graphs.graph import Graph
 from ..types import NodeId
 
@@ -144,7 +146,7 @@ def encode_node_key(node: NodeId) -> str:
     key = try_encode_node_key(node)
     if key is None:
         raise WarehouseError(
-            f"node id {node!r} does not survive a JSON round trip; the "
+            f"node id {format_node_id(node)} does not survive a JSON round trip; the "
             f"warehouse stores int or str ids (like snapshots and dumps)"
         )
     return key
@@ -159,13 +161,19 @@ def try_encode_node_key(node: NodeId) -> Optional[str]:
     always survive JSON exactly, and this function sits on the per-fetch
     hot path of :class:`~repro.warehouse.backend.WarehouseBackend`.  (The
     ``type is int`` check deliberately excludes bool, whose JSON form is
-    ``true``, via the general path.)
+    ``true``, via the general path.)  A numpy integer keys as the equal
+    plain int, like :func:`~repro.cluster.partition.node_key` routes it.
     """
     kind = type(node)
     if kind is int:
-        return str(node)
+        try:
+            return str(node)
+        except ValueError:  # past the int-to-str digit limit: never stored
+            return None
     if kind is str:
         return json.dumps(node)
+    if isinstance(node, np.integer):
+        return str(int(node))  # the key of the equal plain int
     try:
         key = json.dumps(node, sort_keys=True, separators=(",", ":"))
     except (TypeError, ValueError):
@@ -189,7 +197,7 @@ def _encode_attributes(node: NodeId, attributes: Dict[str, Any]) -> Optional[str
     except (TypeError, ValueError):
         pass
     raise WarehouseError(
-        f"attributes of node {node!r} do not survive a JSON round trip; "
+        f"attributes of node {format_node_id(node)} do not survive a JSON round trip; "
         f"the warehouse stores JSON-native attribute values with string keys"
     )
 

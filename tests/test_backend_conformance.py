@@ -26,6 +26,7 @@ import json
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -41,7 +42,9 @@ from repro.exceptions import (
     CrawlDumpError,
     NodeNotFoundError,
     ReplayMissError,
+    ReproError,
     SnapshotError,
+    format_node_id,
 )
 from repro.graphs import Graph, load_dataset
 from repro.storage import (
@@ -272,6 +275,35 @@ class TestRawRecords:
         with pytest.raises(NodeNotFoundError):
             backend.fetch_many([missing])
         assert not backend.contains(missing)
+
+    def test_oversized_int_id_raises_a_typed_error(self, backend):
+        """An int too long for ``str()`` (over 4300 digits) is still an id.
+
+        Formatting it for a message or a key must not leak the interpreter's
+        bare ``ValueError``: a fetch raises a library error, and ``contains``
+        answers ``False`` or raises one.
+        """
+        huge = 10**5000
+        with pytest.raises(ReproError):
+            backend.fetch(huge)
+        try:
+            assert backend.contains(huge) is False
+        except ReproError:
+            pass
+
+    def test_id_formatting_for_messages_never_raises(self):
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        assert format_node_id("a") == "'a'"
+        assert format_node_id(10**5000) == f"<int of {(10**5000).bit_length()} bits>"
+        assert format_node_id(Unprintable()) == "<Unprintable id>"
+
+    def test_numpy_integer_id_serves_the_reference_record(self, backend, reference):
+        node = next(n for n in reference.node_ids() if type(n) is int)
+        assert backend.fetch(np.int64(node)) == reference.fetch(node)
+        assert backend.contains(np.int64(node))
 
     @pytest.mark.parametrize("bogus", ["zzz", 1.5, -1, 10**9])
     def test_identity_id_backends_reject_foreign_ids(self, tmp_path, bogus):
